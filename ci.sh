@@ -22,6 +22,9 @@ cargo run -q -p klint --bin apisnap --
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+echo "==> kbench build (the repo benchmark: its own workspace, path deps on the crates)"
+cargo build --release --offline --manifest-path kbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test -q --workspace
 
@@ -37,7 +40,7 @@ echo "==> supervision gate (panic containment, deterministic restart, breakers, 
 cargo test -q --test supervision
 cargo run -q --release --example supervision -- --quick
 
-echo "==> perf-smoke gate (ingest transports: SPSC ring >= 2x Mutex at N=64, drop ledger balanced)"
+echo "==> perf-smoke gate (SPSC ring fan-in >= 2x a Mutex-channel baseline at N=64, drop ledger balanced)"
 cargo run -q --release -p kleb-bench --bin ingest_perf -- --quick
 
 echo "==> governor gate (closed-loop rate control beats the best coverage-matching fixed period)"

@@ -1,14 +1,16 @@
-//! Ingest transport race: Mutex channel vs. SPSC ring fan-in.
+//! Ingest fan-in race: the fleet's SPSC ring fan-in vs. a Mutex
+//! channel baseline.
 //!
 //! Measures the transport path in isolation — N producer threads each
-//! publishing small (8-sample) drain batches through (a) the shared
-//! `Mutex`+`Condvar` channel and (b) the per-stream lock-free SPSC
-//! rings, with one collector draining — and emits a machine-readable
-//! `BENCH_ingest.json` (ops/s, ns/sample, drop counts at N = 1/8/64,
-//! plus a `DropNewest` accounting run). Small batches are deliberate:
-//! they maximise the per-batch overhead being compared (a lock
-//! round-trip and a `Vec` allocation per batch on the Mutex path, one
-//! release/acquire pair on the ring path).
+//! publishing small (8-sample) drain batches through (a) a shared
+//! `Mutex`+`Condvar` batch queue ([`mutex_channel`], defined in this
+//! file as the baseline) and (b) the fleet's per-stream lock-free SPSC
+//! rings ([`fleet::ring_fanin`]), with one collector draining — and
+//! emits a machine-readable `BENCH_ingest.json` (ops/s, ns/sample, drop
+//! counts at N = 1/8/64, plus a `DropNewest` accounting run). Small
+//! batches are deliberate: they maximise the per-batch overhead being
+//! compared (a lock round-trip and a `Vec` allocation per batch on the
+//! Mutex path, one release/acquire pair on the ring path).
 //!
 //! The run *asserts* the headline acceptance number — SPSC throughput
 //! at N = 64 at least 2x the Mutex channel's in the same process — so
@@ -19,7 +21,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use fleet::{bounded, ring_fanin, Backpressure, Polled};
+use fleet::{ring_fanin, Backpressure, Polled};
 use jsonlite::Value;
 use kleb::Sample;
 
@@ -28,10 +30,141 @@ const BATCH_LEN: usize = 8;
 /// Per-stream ring capacity, samples. Generous enough that the Block
 /// policy rarely engages at this batch size.
 const RING_CAPACITY: usize = 8 * 1024;
-/// Shared Mutex-channel capacity, batches (the fleet default shape).
+/// Shared Mutex-channel capacity, batches.
 const CHANNEL_CAPACITY: usize = 1024;
 /// Collector poll heartbeat while rings/queue are empty.
 const POLL: Duration = Duration::from_millis(5);
+
+/// The baseline fan-in: one bounded queue of batches shared by every
+/// producer, guarded by a `Mutex`, with `not_full`/`not_empty`
+/// condvars and a fresh `Vec` per batch. Lossless (the fleet's Block
+/// policy): a producer facing a full queue waits for the collector.
+mod mutex_channel {
+    use std::collections::VecDeque;
+    use std::sync::{Arc, Condvar, Mutex};
+
+    use kleb::Sample;
+
+    /// One queued batch, tagged with the producing stream.
+    pub struct Batch {
+        pub machine: usize,
+        pub samples: Vec<Sample>,
+    }
+
+    struct Inner {
+        queue: VecDeque<Batch>,
+        capacity: usize,
+        senders: usize,
+        sent: Vec<u64>,
+        delivered: Vec<u64>,
+        depth_high_water: usize,
+        block_waits: u64,
+    }
+
+    struct Shared {
+        inner: Mutex<Inner>,
+        not_full: Condvar,
+        not_empty: Condvar,
+    }
+
+    /// A channel for `streams` producers with room for `capacity`
+    /// queued batches: one [`Sender`] per stream plus the [`Receiver`].
+    pub fn bounded(streams: usize, capacity: usize) -> (Vec<Sender>, Receiver) {
+        let shared = Arc::new(Shared {
+            inner: Mutex::new(Inner {
+                queue: VecDeque::with_capacity(capacity),
+                capacity,
+                senders: streams,
+                sent: vec![0; streams],
+                delivered: vec![0; streams],
+                depth_high_water: 0,
+                block_waits: 0,
+            }),
+            not_full: Condvar::new(),
+            not_empty: Condvar::new(),
+        });
+        let senders = (0..streams)
+            .map(|stream| Sender {
+                shared: Arc::clone(&shared),
+                stream,
+            })
+            .collect();
+        (senders, Receiver { shared })
+    }
+
+    /// One stream's producing end; dropping it signals stream end.
+    pub struct Sender {
+        shared: Arc<Shared>,
+        stream: usize,
+    }
+
+    impl Sender {
+        /// Enqueues one batch, waiting while the queue is full.
+        pub fn send(&self, samples: Vec<Sample>) {
+            if samples.is_empty() {
+                return;
+            }
+            let mut inner = self.shared.inner.lock().unwrap();
+            inner.sent[self.stream] += samples.len() as u64;
+            while inner.queue.len() >= inner.capacity {
+                inner.block_waits += 1;
+                inner = self.shared.not_full.wait(inner).unwrap();
+            }
+            inner.queue.push_back(Batch {
+                machine: self.stream,
+                samples,
+            });
+            inner.depth_high_water = inner.depth_high_water.max(inner.queue.len());
+            drop(inner);
+            self.shared.not_empty.notify_one();
+        }
+    }
+
+    impl Drop for Sender {
+        fn drop(&mut self) {
+            let mut inner = self.shared.inner.lock().unwrap();
+            inner.senders -= 1;
+            let last = inner.senders == 0;
+            drop(inner);
+            if last {
+                // Wake the collector so it can observe end-of-streams.
+                self.shared.not_empty.notify_all();
+            }
+        }
+    }
+
+    /// The collector end.
+    pub struct Receiver {
+        shared: Arc<Shared>,
+    }
+
+    impl Receiver {
+        /// Dequeues the next batch, blocking while the queue is empty
+        /// and any sender is alive; `None` once every sender has dropped
+        /// and the queue is drained.
+        pub fn recv(&self) -> Option<Batch> {
+            let mut inner = self.shared.inner.lock().unwrap();
+            loop {
+                if let Some(batch) = inner.queue.pop_front() {
+                    inner.delivered[batch.machine] += batch.samples.len() as u64;
+                    drop(inner);
+                    self.shared.not_full.notify_one();
+                    return Some(batch);
+                }
+                if inner.senders == 0 {
+                    return None;
+                }
+                inner = self.shared.not_empty.wait(inner).unwrap();
+            }
+        }
+
+        /// `(sent, block_waits)` totals across all streams.
+        pub fn totals(&self) -> (u64, u64) {
+            let inner = self.shared.inner.lock().unwrap();
+            (inner.sent.iter().sum(), inner.block_waits)
+        }
+    }
+}
 
 fn batch() -> Vec<Sample> {
     (0..BATCH_LEN as u64)
@@ -90,7 +223,7 @@ impl RunResult {
 /// (so thread spawn cost stays outside the clock), the main thread
 /// drains until every sender disconnects.
 fn run_mutex(producers: usize, batches_per_producer: usize) -> RunResult {
-    let (senders, receiver) = bounded(producers, CHANNEL_CAPACITY, Backpressure::Block);
+    let (senders, receiver) = mutex_channel::bounded(producers, CHANNEL_CAPACITY);
     let template = Arc::new(batch());
     let gate = Arc::new(Barrier::new(producers + 1));
     let handles: Vec<_> = senders
@@ -116,16 +249,16 @@ fn run_mutex(producers: usize, batches_per_producer: usize) -> RunResult {
     for h in handles {
         h.join().expect("producer thread");
     }
-    let stats = receiver.stats();
+    let (sent, block_waits) = receiver.totals();
     RunResult {
         transport: "mutex_channel",
         producers,
         samples: delivered,
         elapsed,
-        sent: stats.total_sent(),
+        sent,
         delivered,
-        dropped: stats.total_dropped(),
-        block_waits: stats.block_waits,
+        dropped: 0,
+        block_waits,
     }
 }
 

@@ -3,34 +3,33 @@
 //! [`FleetRunner`] spins one OS thread per [`MachineSpec`]. Each thread
 //! builds its own [`ksim::Machine`] from the spec's seed, runs the
 //! workload under a K-LEB [`kleb::Monitor`], and streams every drained
-//! batch into the configured fan-in — one lock-free SPSC ring per
-//! machine by default ([`crate::ingest`]), or the shared bounded
-//! channel as the reference path — through the controller's
-//! [`kleb::SampleSink`] hook. The calling thread is the collector: it
-//! drains batches into the [`FleetStore`] and updates [`FleetMetrics`].
+//! batch into its own lock-free SPSC ring ([`crate::ingest`]) through
+//! the controller's [`kleb::SampleSink`] hook. The calling thread is the
+//! collector: it drains the rings into the [`FleetStore`] and updates
+//! [`FleetMetrics`].
 //!
 //! Determinism contract: each machine's sample stream is a pure function
 //! of its seed and workload — threads only vary the *interleaving* of
 //! batches, and per-stream FIFO order is preserved, so under
 //! [`Backpressure::Block`] (lossless) the per-machine store contents are
-//! bit-for-bit reproducible across runs. Under the two Drop policies,
-//! *which* samples survive depends on real-time interleaving; only the
-//! per-stream accounting is guaranteed, not the surviving set.
+//! bit-for-bit reproducible across runs. Under
+//! [`Backpressure::DropNewest`], *which* samples survive depends on
+//! real-time interleaving; only the per-stream accounting is
+//! guaranteed, not the surviving set.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use kleb::{KlebTuning, Monitor, MonitorOutcome, Sample, SampleSink};
+use kleb::{KlebTuning, Monitor, MonitorOutcome, Sample};
 use ksim::{
     CoreId, Duration, Instant, Machine, MachineConfig, Pid, ProcessInfo, ProcessState, Workload,
 };
 use ktrace::{stream_file_name, RecoveredStream, StreamMeta};
 use pmu::{EventCounts, HwEvent};
 
-use crate::channel::{bounded, Backpressure, ChannelStats, RecvTimeout, Sender};
 use crate::clock::{Clock, MonotonicClock};
 use crate::governor::{GovernorPolicy, GovernorReport};
-use crate::ingest::{ring_fanin, Polled, RingCollector, RingSender, Transport};
+use crate::ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector};
 use crate::metrics::FleetMetrics;
 use crate::store::FleetStore;
 use crate::supervisor::{
@@ -107,7 +106,7 @@ impl std::fmt::Debug for MachineSpec {
 ///
 /// ```ignore
 /// let config = FleetConfig::builder(&events, period)
-///     .transport(Transport::SpscRing)
+///     .ring_capacity(16 * 1024)
 ///     .persist("/tmp/traces")
 ///     .govern(GovernorPolicy::new().budget(50_000))
 ///     .build();
@@ -124,16 +123,10 @@ pub struct FleetConfig {
     pub period: Duration,
     /// Module cost tuning.
     pub tuning: KlebTuning,
-    /// Which fan-in carries batches to the collector: lock-free SPSC
-    /// rings (default) or the reference Mutex channel. The two are
-    /// digest-identical for seeded runs; see [`crate::ingest`].
-    pub transport: Transport,
-    /// Channel capacity, in batches ([`Transport::MutexChannel`] only).
-    pub channel_capacity: usize,
-    /// Per-stream ring capacity, in samples ([`Transport::SpscRing`]
-    /// only; rounded up to a power of two).
+    /// Per-stream ring capacity, in samples (rounded up to a power of
+    /// two); see [`crate::ingest`].
     pub ring_capacity: usize,
-    /// What a full channel does.
+    /// What a full ring does.
     pub backpressure: Backpressure,
     /// Per-shard point capacity of the store.
     pub shard_capacity: usize,
@@ -177,7 +170,7 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// The default config: `events` sampled every `period` on
-    /// i7-920-class machines, lossless backpressure, 64-batch channel,
+    /// i7-920-class machines, lossless backpressure, 64Ki-sample rings,
     /// 64Ki-point shards, no faults, no governor. Use
     /// [`FleetConfig::builder`] to override anything.
     pub fn new(events: &[HwEvent], period: Duration) -> Self {
@@ -185,8 +178,6 @@ impl FleetConfig {
             events: events.to_vec(),
             period,
             tuning: KlebTuning::default(),
-            transport: Transport::default(),
-            channel_capacity: 64,
             ring_capacity: 64 * 1024,
             backpressure: Backpressure::Block,
             shard_capacity: 64 * 1024,
@@ -233,19 +224,7 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Overrides the fan-in transport.
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.config.transport = transport;
-        self
-    }
-
-    /// Overrides the channel capacity (batches; Mutex transport).
-    pub fn channel_capacity(mut self, batches: usize) -> Self {
-        self.config.channel_capacity = batches;
-        self
-    }
-
-    /// Overrides the per-stream ring capacity (samples; ring transport).
+    /// Overrides the per-stream ring capacity (samples).
     pub fn ring_capacity(mut self, samples: usize) -> Self {
         self.config.ring_capacity = samples;
         self
@@ -384,7 +363,7 @@ pub struct FleetOutcome {
     pub machines: Vec<MachineReport>,
     /// Per-machine supervision health, parallel to `machines`.
     pub health: Vec<HealthReport>,
-    /// Channel counters (per-stream sent/dropped/delivered, depth HWM).
+    /// Fan-in counters (per-stream sent/dropped/delivered, depth HWM).
     pub channel: ChannelStats,
     /// The collector's self-metrics.
     pub metrics: Arc<FleetMetrics>,
@@ -475,9 +454,9 @@ impl FleetOutcome {
     /// A byte digest of everything a run produced that is *deterministic
     /// by contract*: per-machine sample streams (wire encoding), module
     /// status, recovery stats, programmed events, the store's ingested
-    /// points, per-stream channel accounting, and the watchdog's
+    /// points, per-stream fan-in accounting, and the watchdog's
     /// episode counters. Wall-clock-dependent values (elapsed, ingest
-    /// latency, queue depth, block waits) are excluded.
+    /// latency, ring depth, block waits) are excluded.
     ///
     /// Replaying a recorded run must reproduce this byte-for-byte —
     /// that equality is the regression-testing contract.
@@ -579,69 +558,6 @@ impl FleetOutcome {
     }
 }
 
-/// One stream's sending end, whichever transport is configured.
-#[derive(Debug)]
-pub(crate) enum StreamTx {
-    Mutex(Sender),
-    Ring(RingSender),
-}
-
-impl StreamTx {
-    pub(crate) fn send(&mut self, samples: &[Sample]) {
-        match self {
-            StreamTx::Mutex(tx) => tx.send(samples.to_vec()),
-            StreamTx::Ring(tx) => tx.send(samples),
-        }
-    }
-}
-
-/// The collector's receiving end, whichever transport is configured.
-#[derive(Debug)]
-enum FanIn {
-    Mutex(crate::channel::Receiver),
-    Ring(RingCollector),
-}
-
-impl FanIn {
-    /// Unified poll: on [`Polled::Batch`], `scratch` holds the samples.
-    /// The ring path fills the caller's buffer directly; the Mutex path
-    /// moves the received batch's allocation into it.
-    fn poll(&mut self, timeout: std::time::Duration, scratch: &mut Vec<Sample>) -> Polled {
-        match self {
-            FanIn::Mutex(rx) => match rx.recv_timeout(timeout) {
-                RecvTimeout::Batch(batch) => {
-                    *scratch = batch.samples;
-                    Polled::Batch {
-                        machine: batch.machine,
-                    }
-                }
-                RecvTimeout::Timeout => Polled::Timeout,
-                RecvTimeout::Disconnected => Polled::Disconnected,
-            },
-            FanIn::Ring(rx) => rx.poll(timeout, scratch),
-        }
-    }
-
-    fn stats(&mut self) -> ChannelStats {
-        match self {
-            FanIn::Mutex(rx) => rx.stats(),
-            FanIn::Ring(rx) => rx.stats(),
-        }
-    }
-}
-
-/// Streams one monitor's drained batches into the fleet fan-in.
-#[derive(Debug)]
-struct ChannelSink {
-    tx: StreamTx,
-}
-
-impl SampleSink for ChannelSink {
-    fn on_batch(&mut self, samples: &[Sample]) {
-        self.tx.send(samples);
-    }
-}
-
 /// Runs fleets described by a [`FleetConfig`].
 #[derive(Debug, Clone)]
 pub struct FleetRunner {
@@ -654,32 +570,9 @@ impl FleetRunner {
         Self { config }
     }
 
-    /// Builds the configured fan-in for `n` streams: one sending end per
-    /// stream (stream `i` = spec `i`) plus the collector end.
-    fn make_fanin(&self, n: usize) -> (Vec<StreamTx>, FanIn) {
-        match self.config.transport {
-            Transport::MutexChannel => {
-                let (senders, receiver) =
-                    bounded(n, self.config.channel_capacity, self.config.backpressure);
-                (
-                    senders.into_iter().map(StreamTx::Mutex).collect(),
-                    FanIn::Mutex(receiver),
-                )
-            }
-            Transport::SpscRing => {
-                let (senders, collector) =
-                    ring_fanin(n, self.config.ring_capacity, self.config.backpressure);
-                (
-                    senders.into_iter().map(StreamTx::Ring).collect(),
-                    FanIn::Ring(collector),
-                )
-            }
-        }
-    }
-
     /// Runs every spec to completion, collecting samples concurrently.
     ///
-    /// Blocks until all machine threads have exited and the channel is
+    /// Blocks until all machine threads have exited and every ring is
     /// fully drained. Every machine runs under the configured
     /// [`SupervisorPolicy`]: panics are contained, restarts consume the
     /// budget, and a terminal failure degrades the outcome instead of
@@ -713,12 +606,11 @@ impl FleetRunner {
             Some(policy) => policy.allocate(self.config.period.as_nanos(), &weights),
             None => vec![self.config.period.as_nanos(); n],
         };
-        let (mut senders, receiver) = self.make_fanin(n);
+        let (senders, receiver) =
+            ring_fanin(n, self.config.ring_capacity, self.config.backpressure);
         let mut handles = Vec::with_capacity(n);
         // Sender i goes to spec i: stream indices equal spec order.
-        let mut senders_iter = senders.drain(..);
-        for (index, spec) in specs.into_iter().enumerate() {
-            let tx = senders_iter.next().expect("one sender per spec");
+        for (index, (spec, tx)) in specs.into_iter().zip(senders).enumerate() {
             let period = Duration::from_nanos(allocated[index]);
             let mut monitor = Monitor::new(&self.config.events, period).tuning(self.config.tuning);
             if let Some(interval) = self.config.drain_interval {
@@ -755,7 +647,6 @@ impl FleetRunner {
             let handle = std::thread::spawn(move || supervise_machine(task));
             handles.push((label, seed, handle));
         }
-        drop(senders_iter);
 
         self.collect_and_join(n, receiver, handles, allocated)
     }
@@ -763,7 +654,7 @@ impl FleetRunner {
     /// Replays recorded streams through the collector pipeline — a
     /// drop-in machine source. Each stream gets the thread a live
     /// machine would have had and sends its recorded drain batches, in
-    /// order, through the same bounded channel; store ingest, channel
+    /// order, through the same ring fan-in; store ingest, fan-in
     /// accounting, the watchdog and anomaly scans all see exactly what
     /// the live run produced. Under [`Backpressure::Block`] the
     /// resulting [`FleetOutcome::digest`] is byte-identical to the
@@ -788,19 +679,17 @@ impl FleetRunner {
         // The recorded stream metadata carries each machine's allocated
         // base period, so replayed governance rows match the live run's.
         let allocated: Vec<u64> = streams.iter().map(|s| s.meta.period_ns).collect();
-        let (mut senders, receiver) = self.make_fanin(n);
+        let (senders, receiver) =
+            ring_fanin(n, self.config.ring_capacity, self.config.backpressure);
         let mut handles = Vec::with_capacity(n);
-        let mut senders_iter = senders.drain(..);
-        for stream in streams {
-            let tx = senders_iter.next().expect("one sender per stream");
+        for (stream, mut tx) in streams.into_iter().zip(senders) {
             let label = stream.meta.label.clone();
             let seed = stream.meta.seed;
             let handle = std::thread::spawn(move || {
-                let mut sink = ChannelSink { tx };
                 for batch in stream.batches() {
-                    sink.on_batch(batch);
+                    tx.send(batch);
                 }
-                drop(sink);
+                drop(tx);
                 // Health comes back from the persisted ledger (counts
                 // and breaker state; messages are not recorded), so the
                 // replayed digest covers exactly what the live one did.
@@ -814,7 +703,6 @@ impl FleetRunner {
             });
             handles.push((label, seed, handle));
         }
-        drop(senders_iter);
 
         self.collect_and_join(n, receiver, handles, allocated)
     }
@@ -826,7 +714,7 @@ impl FleetRunner {
     fn collect_and_join(
         &self,
         n: usize,
-        mut receiver: FanIn,
+        mut receiver: RingCollector,
         handles: Vec<(String, u64, std::thread::JoinHandle<SupervisedRun>)>,
         allocated: Vec<u64>,
     ) -> Result<FleetOutcome, FleetError> {
@@ -836,7 +724,7 @@ impl FleetRunner {
         let started_ns = clock.now_ns();
 
         // Collector loop: drain until every sender (inside the machine
-        // workloads) has dropped and the queue is empty, polling often
+        // workloads) has dropped and every ring is empty, polling often
         // enough that the watchdog notices silence well inside the stall
         // timeout.
         let mut watchdog = StreamWatchdog::new(
@@ -845,8 +733,8 @@ impl FleetRunner {
             started_ns,
         );
         let poll = (self.config.stall_timeout / 4).max(std::time::Duration::from_millis(1));
-        // One scratch buffer for the whole run: the ring transport fills
-        // it in place, so the steady state allocates nothing per batch.
+        // One scratch buffer for the whole run: the collector fills it in
+        // place, so the steady state allocates nothing per batch.
         let mut scratch: Vec<Sample> = Vec::new();
         loop {
             match receiver.poll(poll, &mut scratch) {
@@ -1069,7 +957,7 @@ mod tests {
         assert_eq!(outcome.channel.total_dropped(), 0, "Block is lossless");
         for (m, report) in outcome.machines.iter().enumerate() {
             // Store contents == the monitor's own sample series: nothing
-            // was lost or reordered on the way through the channel.
+            // was lost or reordered on the way through the fan-in.
             let stored: Vec<u64> = outcome
                 .store
                 .points(m, Lane::INSTRUCTIONS)
@@ -1182,68 +1070,6 @@ mod tests {
                 report.label
             );
         }
-    }
-
-    #[test]
-    fn transports_are_digest_identical_on_clean_runs() {
-        let run = |t: Transport| {
-            FleetRunner::new(quick_config().transport(t).build())
-                .run((0..3).map(spec).collect())
-                .unwrap()
-        };
-        let ring = run(Transport::SpscRing);
-        let mutex = run(Transport::MutexChannel);
-        assert_eq!(
-            ring.digest(),
-            mutex.digest(),
-            "the ring fan-in must be observationally pure"
-        );
-    }
-
-    #[test]
-    fn transports_are_digest_identical_under_chaos() {
-        // Ring pressure exercises drops, retries, and the recovery
-        // ledger inside each machine; the fan-in swap must not leak into
-        // any of it.
-        let run = |t: Transport| {
-            FleetRunner::new(
-                quick_config()
-                    .transport(t)
-                    .faults(ksim::FaultPlan::ring_pressure(0.4))
-                    .build(),
-            )
-            .run((0..3).map(spec).collect())
-            .unwrap()
-        };
-        let ring = run(Transport::SpscRing);
-        let mutex = run(Transport::MutexChannel);
-        assert!(ring
-            .machines
-            .iter()
-            .any(|m| m.outcome.status.samples_dropped > 0));
-        assert_eq!(ring.digest(), mutex.digest());
-    }
-
-    #[test]
-    fn replay_is_digest_identical_across_transports() {
-        // Record once (ring transport), then replay through *both*
-        // fan-ins: all three digests must agree.
-        let dir = std::env::temp_dir().join(format!("fleet-xport-replay-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = quick_config()
-            .faults(ksim::FaultPlan::ring_pressure(0.4))
-            .persist(&dir);
-        let live = FleetRunner::new(config.clone().build())
-            .run((0..3).map(spec).collect())
-            .unwrap();
-        for transport in [Transport::SpscRing, Transport::MutexChannel] {
-            let replayer = ktrace::TraceReplayer::load_dir(&dir).unwrap();
-            let replayed = FleetRunner::new(config.clone().transport(transport).build())
-                .replay(replayer.streams)
-                .unwrap();
-            assert_eq!(live.digest(), replayed.digest(), "{transport:?}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use fleet::channel::Backpressure;
+use fleet::ingest::Backpressure;
 use fleet::ingest::{ring_fanin, Polled};
 use kleb::Sample;
 use kloom::{explore, Options};

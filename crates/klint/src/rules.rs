@@ -3,7 +3,7 @@
 //! | Rule | Invariant | Scope |
 //! |------|-----------|-------|
 //! | `D1` | no wall-clock / unseeded RNG (`SystemTime::now`, `Instant::now`, argless `thread_rng()`, `from_entropy()`, `rand::random()`) — simulated time comes from `ksim::time`, randomness from seeded `StdRng` | `pmu`, `ksim`, `memsim`, `kleb`, `workloads`, `fleet`, `ktrace`, `kchan` |
-//! | `D2` | no `unwrap()` / `expect()` in library code — use typed errors | `pmu`, `ksim`, `kleb`, `ktrace`, `kchan` (non-test); plus `fleet/src/supervisor.rs`, the one fleet file opted in file-by-file |
+//! | `D2` | no `unwrap()` / `expect()` in library code — use typed errors | `pmu`, `ksim`, `kleb`, `ktrace`, `kchan`, `fleet` (non-test) |
 //! | `D3` | no `Ordering::Relaxed` on atomics that gate cross-thread data visibility | `fleet`, `kchan` (allowlists: `fleet/src/metrics.rs` pure counters; `kchan/src/ring.rs`, the documented ordering-protocol module) |
 //! | `M1` | `wrmsr`/`rdmsr` call sites name a `pmu::msr` constant, never a bare integer MSR address | all crates (non-test) |
 //! | `U1` | every `unsafe` block/fn/impl is preceded by a `// SAFETY:` comment (or a `/// # Safety` doc section) justifying it | all crates |
@@ -14,13 +14,14 @@
 //! [`a1_violations`] pairs them up across the whole crate (see
 //! `check_workspace`).
 //!
-//! `D2` and `M1` skip `#[cfg(test)]` modules and `tests/` directories:
+//! `D2`, `M1` and `A1` skip test modules (`#[cfg(test)]` or
+//! `#[cfg(all(test, …))]`) and `tests/` directories:
 //! panicking on broken invariants is the *point* of a test, and tests
 //! legitimately poke raw MSR addresses to probe error paths. `D1` and `D3`
 //! apply to tests too — a wall-clock read in a test breaks determinism just
 //! as thoroughly as one in library code.
 
-use crate::lexer::{Lexed, Tok};
+use crate::lexer::{Lexed, Tok, Token};
 
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,7 +82,7 @@ impl Rule {
             ),
             Rule::D2 => matches!(
                 crate_name,
-                Some("pmu" | "ksim" | "kleb" | "ktrace" | "kchan")
+                Some("pmu" | "ksim" | "kleb" | "ktrace" | "kchan" | "fleet")
             ),
             Rule::D3 => matches!(crate_name, Some("fleet" | "kchan")),
             Rule::M1 => true,
@@ -101,26 +102,10 @@ impl Rule {
         matches!(self, Rule::D2 | Rule::M1 | Rule::A1)
     }
 
-    /// Per-file opt-ins baked into the rule definition: files whose
-    /// crate is outside the rule's scope but which must be scanned
-    /// anyway.
-    pub fn includes_file(self, rel_path: &str) -> bool {
-        match self {
-            // The supervision layer is the code that *contains* other
-            // threads' panics — a panic of its own (an unwrap on a
-            // poisoned lock, say) forfeits containment and takes the
-            // whole partial-outcome contract with it. The rest of
-            // `fleet` stays outside D2, but this file holds the bar.
-            Rule::D2 => rel_path == "crates/fleet/src/supervisor.rs",
-            _ => false,
-        }
-    }
-
-    /// Whether this rule scans `rel_path`: in crate scope (or opted in
-    /// file-by-file) and not on the per-file allowlist.
+    /// Whether this rule scans `rel_path`: in crate scope and not on the
+    /// per-file allowlist.
     pub fn in_scope(self, rel_path: &str, crate_name: Option<&str>) -> bool {
-        (self.applies_to_crate(crate_name) || self.includes_file(rel_path))
-            && !self.allows_file(rel_path)
+        self.applies_to_crate(crate_name) && !self.allows_file(rel_path)
     }
 
     /// Per-file allowlist baked into the rule definition.
@@ -155,25 +140,52 @@ pub struct Violation {
     pub message: String,
 }
 
-/// Token index ranges covered by `#[cfg(test)] mod … { … }`.
+/// Token length of a test-only `cfg` attribute starting at `i` —
+/// `#[cfg(test)]`, or `#[cfg(all(test, …))]` with `test` as a direct
+/// argument of `all` — or `None`. (`any(test, …)` and `not(test)` are
+/// not test-only.)
+fn test_cfg_len(t: &[Token], i: usize) -> Option<usize> {
+    let opens = t[i].tok.is_punct('#')
+        && t.get(i + 1)?.tok.is_punct('[')
+        && t.get(i + 2)?.tok.is_ident("cfg")
+        && t.get(i + 3)?.tok.is_punct('(');
+    if !opens {
+        return None;
+    }
+    let in_all = t.get(i + 4)?.tok.is_ident("all");
+    let mut test_only = false;
+    let mut depth = 0usize;
+    let mut j = i + 3;
+    loop {
+        let tok = &t.get(j)?.tok;
+        if tok.is_punct('(') {
+            depth += 1;
+        } else if tok.is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        } else if tok.is_ident("test") {
+            test_only |= depth == 1 || (depth == 2 && in_all);
+        }
+        j += 1;
+    }
+    (test_only && t.get(j + 1)?.tok.is_punct(']')).then_some(j + 2 - i)
+}
+
+/// Token index ranges covered by test-only modules:
+/// `#[cfg(test)] mod … { … }` and `#[cfg(all(test, …))] mod … { … }`.
 fn test_spans(lexed: &Lexed) -> Vec<(usize, usize)> {
     let t = &lexed.tokens;
     let mut spans = Vec::new();
     let mut i = 0;
-    while i + 6 < t.len() {
-        let is_cfg_test = t[i].tok.is_punct('#')
-            && t[i + 1].tok.is_punct('[')
-            && t[i + 2].tok.is_ident("cfg")
-            && t[i + 3].tok.is_punct('(')
-            && t[i + 4].tok.is_ident("test")
-            && t[i + 5].tok.is_punct(')')
-            && t[i + 6].tok.is_punct(']');
-        if !is_cfg_test {
+    while i < t.len() {
+        let Some(attr_len) = test_cfg_len(t, i) else {
             i += 1;
             continue;
-        }
+        };
         // Walk forward over further attributes / visibility to `mod x {`.
-        let mut j = i + 7;
+        let mut j = i + attr_len;
         let mut is_mod = false;
         while j < t.len() {
             match &t[j].tok {
@@ -214,7 +226,7 @@ fn test_spans(lexed: &Lexed) -> Vec<(usize, usize)> {
             }
         }
         if !is_mod {
-            i += 7;
+            i += attr_len;
             continue;
         }
         // Find the opening brace of the module body, then its match.
@@ -735,4 +747,37 @@ pub fn a1_violations(sites: &[AtomicSite]) -> Vec<Violation> {
     }
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::lex;
+
+    /// Whether the `.unwrap` in `src` falls inside a test span.
+    fn unwrap_is_test_code(src: &str) -> bool {
+        let lexed = lex(src);
+        let idx = lexed
+            .tokens
+            .iter()
+            .position(|t| t.tok.is_ident("unwrap"))
+            .expect("fixture holds an unwrap");
+        in_spans(&test_spans(&lexed), idx)
+    }
+
+    #[test]
+    fn cfg_test_and_cfg_all_test_modules_are_test_code() {
+        for cfg in ["test", "all(test, not(kloom))", "all(not(kloom), test)"] {
+            let src = format!("#[cfg({cfg})]\nmod tests {{ fn t() {{ Some(1).unwrap(); }} }}\n");
+            assert!(unwrap_is_test_code(&src), "cfg({cfg})");
+        }
+    }
+
+    #[test]
+    fn cfg_any_or_not_test_modules_are_library_code() {
+        for cfg in ["any(test, feature)", "not(test)", "all(not(test), unix)"] {
+            let src = format!("#[cfg({cfg})]\nmod m {{ fn f() {{ Some(1).unwrap(); }} }}\n");
+            assert!(!unwrap_is_test_code(&src), "cfg({cfg})");
+        }
+    }
 }
