@@ -28,6 +28,9 @@ cargo build --release --offline --manifest-path kbench/Cargo.toml
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> meltdown gate (Flush+Reload recovers the secret under 100 us K-LEB monitoring)"
+cargo run -q --release --example meltdown_detect
+
 echo "==> chaos gate (fault injection: accounting, determinism, recovery)"
 cargo test -q --test chaos
 cargo run -q --release --example fault_matrix -- --quick

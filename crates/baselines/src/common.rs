@@ -69,6 +69,18 @@ impl ToolRun {
     }
 }
 
+/// The `(event, umask)` codes a tool's open config carries across the
+/// ioctl boundary, in request order.
+pub(crate) fn event_codes(events: &[HwEvent]) -> Vec<(u8, u8)> {
+    events
+        .iter()
+        .map(|e| {
+            let c = e.code();
+            (c.event, c.umask)
+        })
+        .collect()
+}
+
 /// Overhead of a monitored run relative to an unmonitored baseline, in
 /// percent (the paper's Tables II/III metric).
 pub fn overhead_percent(baseline: Duration, monitored: Duration) -> f64 {

@@ -199,6 +199,30 @@ mod tests {
     }
 
     #[test]
+    fn zero_read_every_is_a_tool_error() {
+        let specs = [
+            ToolSpec::Papi(PapiCosts::microarchitectural(), 0),
+            ToolSpec::Limit(LimitCosts::microarchitectural(), 0),
+        ];
+        for spec in &specs {
+            let mut machine = Machine::new(MachineConfig::test_tiny(21));
+            let run = run_tool(
+                spec,
+                &mut machine,
+                "t",
+                Box::new(Synthetic::cpu_bound(Duration::from_millis(1))),
+                &[HwEvent::Load],
+                Duration::from_millis(10),
+            );
+            assert!(
+                matches!(run, Err(ToolError::Tool(_))),
+                "{}: {run:?}",
+                spec.name()
+            );
+        }
+    }
+
+    #[test]
     fn every_tool_adds_overhead_over_baseline() {
         let events = [HwEvent::Load];
         let baseline = {

@@ -12,8 +12,6 @@
 //! - like PAPI it requires source instrumentation, and the instrumentation
 //!   itself executes inside the monitored program.
 
-use std::sync::{Arc, Mutex};
-
 use pmu::{msr, EventSel, HwEvent, NUM_FIXED};
 
 use ksim::{
@@ -21,7 +19,7 @@ use ksim::{
     WorkBlock, WorkItem, Workload,
 };
 
-use crate::common::{ToolRun, ToolSample};
+use crate::common::{event_codes, ToolRun, ToolSample};
 use crate::ToolError;
 
 /// `ioctl`: enable the LiMiT patch for the calling process (payload = JSON
@@ -208,18 +206,12 @@ impl Device for LimitKernel {
     }
 }
 
-#[derive(Debug, Default)]
-struct LimitShared {
-    samples: Vec<ToolSample>,
-    totals: Option<Vec<u64>>,
-    fixed_totals: [u64; 3],
-    error: Option<String>,
-}
-
 /// `rdpmc` index encoding for fixed counter `n` (bit 30 set).
 const RDPMC_FIXED: u32 = 0x4000_0000;
 
-/// A workload instrumented with LiMiT user-space counter reads.
+/// A workload instrumented with LiMiT user-space counter reads. It keeps
+/// its samples, totals and error; [`run_limit`] reaps it after exit to
+/// read them.
 #[derive(Debug)]
 pub struct LimitInstrumented {
     inner: Box<dyn Workload>,
@@ -227,7 +219,10 @@ pub struct LimitInstrumented {
     events: Vec<HwEvent>,
     read_every: u64,
     costs: LimitCosts,
-    shared: Arc<Mutex<LimitShared>>,
+    samples: Vec<ToolSample>,
+    totals: Option<Vec<u64>>,
+    fixed_totals: [u64; 3],
+    error: Option<String>,
     blocks_seen: u64,
     opened: bool,
     finished: bool,
@@ -253,16 +248,17 @@ impl LimitInstrumented {
         events: Vec<HwEvent>,
         read_every: u64,
         costs: LimitCosts,
-        shared: Arc<Mutex<LimitShared>>,
     ) -> Self {
-        assert!(read_every > 0);
         Self {
             inner,
             device,
             events,
             read_every,
             costs,
-            shared,
+            samples: Vec::new(),
+            totals: None,
+            fixed_totals: [0; 3],
+            error: None,
             blocks_seen: 0,
             opened: false,
             finished: false,
@@ -276,19 +272,12 @@ impl LimitInstrumented {
 
     fn open_item(&self) -> WorkItem {
         let cfg = LimitOpenConfig {
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    let c = e.code();
-                    (c.event, c.umask)
-                })
-                .collect(),
+            events: event_codes(&self.events),
         };
         WorkItem::Syscall(Syscall::Ioctl {
             device: self.device,
             request: LIMIT_OPEN,
-            payload: jsonlite::to_vec(&cfg).expect("config serializes"),
+            payload: jsonlite::to_vec(&cfg).unwrap_or_default(),
         })
     }
 
@@ -304,7 +293,6 @@ impl LimitInstrumented {
     fn record_read(&mut self, values: &[u64], is_final: bool) {
         // Layout matches rdpmc_indices: events.len() PMCs, then 3 fixed.
         let n = self.events.len();
-        let mut shared = self.shared.lock().unwrap();
         if let Some(last) = &self.last {
             let delta: Vec<u64> = values
                 .iter()
@@ -313,7 +301,7 @@ impl LimitInstrumented {
                 .map(|(now, then)| now.wrapping_sub(*then))
                 .collect();
             let instr_delta = values[n].wrapping_sub(last[n]);
-            shared.samples.push(ToolSample {
+            self.samples.push(ToolSample {
                 timestamp_ns: 0,
                 values: delta,
                 instructions: instr_delta,
@@ -321,7 +309,7 @@ impl LimitInstrumented {
         }
         if is_final {
             if let Some(first) = &self.first {
-                shared.totals = Some(
+                self.totals = Some(
                     values
                         .iter()
                         .zip(first)
@@ -329,14 +317,13 @@ impl LimitInstrumented {
                         .map(|(now, then)| now.wrapping_sub(*then))
                         .collect(),
                 );
-                shared.fixed_totals = [
+                self.fixed_totals = [
                     values[n].wrapping_sub(first[n]),
                     values[n + 1].wrapping_sub(first[n + 1]),
                     values[n + 2].wrapping_sub(first[n + 2]),
                 ];
             }
         }
-        drop(shared);
         self.last = Some(values.to_vec());
     }
 }
@@ -348,8 +335,7 @@ impl Workload for LimitInstrumented {
                 self.pending = Pending::BaselineRead;
                 if let Some(r) = prev.retval() {
                     if r != 0 {
-                        self.shared.lock().unwrap().error =
-                            Some(format!("LiMiT setup failed: {r}"));
+                        self.error = Some(format!("LiMiT setup failed: {r}"));
                         return None;
                     }
                 }
@@ -423,7 +409,8 @@ impl Workload for LimitInstrumented {
 ///
 /// # Errors
 ///
-/// [`ToolError`] if the simulation stalls or setup fails.
+/// [`ToolError`] if the simulation stalls, `read_every` is zero or setup
+/// fails.
 pub fn run_limit(
     machine: &mut Machine,
     name: &str,
@@ -433,32 +420,28 @@ pub fn run_limit(
     nominal_period: Duration,
     costs: LimitCosts,
 ) -> Result<ToolRun, ToolError> {
+    if read_every == 0 {
+        return Err(ToolError::Tool("LiMiT read_every must be positive".into()));
+    }
     let device = machine.register_device(Box::new(LimitKernel::new(costs)));
-    let shared = Arc::new(Mutex::new(LimitShared::default()));
-    let instrumented = LimitInstrumented::new(
-        workload,
-        device,
-        events.to_vec(),
-        read_every,
-        costs,
-        shared.clone(),
-    );
+    let instrumented = LimitInstrumented::new(workload, device, events.to_vec(), read_every, costs);
     let target = machine.spawn(name, CoreId(0), Box::new(instrumented));
     machine.run_until_exit(target).map_err(ToolError::Sim)?;
-    let guard = shared.lock().unwrap();
-    if let Some(err) = &guard.error {
-        return Err(ToolError::Tool(err.clone()));
+    let limit: LimitInstrumented = machine
+        .reap(target)
+        .ok_or_else(|| ToolError::Tool("LiMiT target was not reaped".into()))?;
+    if let Some(err) = limit.error {
+        return Err(ToolError::Tool(err));
     }
-    let totals = guard
+    let totals = limit
         .totals
-        .clone()
         .ok_or_else(|| ToolError::Tool("LiMiT final read missing".into()))?;
     Ok(ToolRun {
         tool: "LiMiT",
         target: machine.process(target).clone(),
         event_totals: events.iter().copied().zip(totals).collect(),
-        fixed_totals: guard.fixed_totals,
-        samples: guard.samples.clone(),
+        fixed_totals: limit.fixed_totals,
+        samples: limit.samples,
         requested_period: nominal_period,
         effective_period: nominal_period,
     })

@@ -11,15 +11,13 @@
 //! instrument source: library init at startup, `PAPI_start` (an open), a
 //! read every `read_every` work blocks, and a final read at exit.
 
-use std::sync::{Arc, Mutex};
-
 use pmu::HwEvent;
 
 use ksim::{
     CoreId, DeviceId, Duration, ItemResult, Machine, Syscall, WorkBlock, WorkItem, Workload,
 };
 
-use crate::common::{ToolRun, ToolSample};
+use crate::common::{event_codes, ToolRun, ToolSample};
 use crate::perf_kernel::{PerfCounts, PerfEventKernel, PerfKernelCosts, PERF_OPEN, PERF_READ};
 use crate::ToolError;
 
@@ -67,13 +65,6 @@ impl PapiCosts {
     }
 }
 
-#[derive(Debug, Default)]
-struct PapiShared {
-    samples: Vec<ToolSample>,
-    final_counts: Option<PerfCounts>,
-    error: Option<String>,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
     None,
@@ -81,7 +72,8 @@ enum Pending {
     ReadResult { is_final: bool },
 }
 
-/// A workload instrumented with PAPI calls.
+/// A workload instrumented with PAPI calls. It keeps its samples, final
+/// counts and error; [`run_papi`] reaps it after exit to read them.
 #[derive(Debug)]
 pub struct PapiInstrumented {
     inner: Box<dyn Workload>,
@@ -89,7 +81,9 @@ pub struct PapiInstrumented {
     events: Vec<HwEvent>,
     read_every: u64,
     costs: PapiCosts,
-    shared: Arc<Mutex<PapiShared>>,
+    samples: Vec<ToolSample>,
+    final_counts: Option<PerfCounts>,
+    error: Option<String>,
     blocks_seen: u64,
     started: bool,
     init_done: bool,
@@ -107,16 +101,16 @@ impl PapiInstrumented {
         events: Vec<HwEvent>,
         read_every: u64,
         costs: PapiCosts,
-        shared: Arc<Mutex<PapiShared>>,
     ) -> Self {
-        assert!(read_every > 0);
         Self {
             inner,
             device,
             events,
             read_every,
             costs,
-            shared,
+            samples: Vec::new(),
+            final_counts: None,
+            error: None,
             blocks_seen: 0,
             started: false,
             init_done: false,
@@ -131,21 +125,14 @@ impl PapiInstrumented {
     fn open_item(&self) -> WorkItem {
         let cfg = crate::perf_kernel::PerfOpenConfig {
             target: 0, // self
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    let c = e.code();
-                    (c.event, c.umask)
-                })
-                .collect(),
+            events: event_codes(&self.events),
             count_kernel: false,
             track_children: true,
         };
         WorkItem::Syscall(Syscall::Ioctl {
             device: self.device,
             request: PERF_OPEN,
-            payload: jsonlite::to_vec(&cfg).expect("config serializes"),
+            payload: jsonlite::to_vec(&cfg).unwrap_or_default(),
         })
     }
 
@@ -158,29 +145,10 @@ impl PapiInstrumented {
     }
 
     fn record_read(&mut self, counts: PerfCounts, is_final: bool) {
-        let mut shared = self.shared.lock().unwrap();
-        let delta: Vec<u64> = match &self.last {
-            Some(last) => counts
-                .events
-                .iter()
-                .zip(&last.events)
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect(),
-            None => counts.events.clone(),
-        };
-        let instr = match &self.last {
-            Some(last) => counts.fixed[0].saturating_sub(last.fixed[0]),
-            None => counts.fixed[0],
-        };
-        shared.samples.push(ToolSample {
-            timestamp_ns: 0,
-            values: delta,
-            instructions: instr,
-        });
+        self.samples.push(counts.sample_since(self.last.as_ref()));
         if is_final {
-            shared.final_counts = Some(counts.clone());
+            self.final_counts = Some(counts.clone());
         }
-        drop(shared);
         self.last = Some(counts);
     }
 }
@@ -193,7 +161,7 @@ impl Workload for PapiInstrumented {
                 self.pending = Pending::None;
                 if let Some(r) = prev.retval() {
                     if r != 0 {
-                        self.shared.lock().unwrap().error = Some(format!("PAPI_start failed: {r}"));
+                        self.error = Some(format!("PAPI_start failed: {r}"));
                         return None;
                     }
                 }
@@ -275,7 +243,8 @@ impl Workload for PapiInstrumented {
 ///
 /// # Errors
 ///
-/// [`ToolError`] if the simulation stalls or PAPI setup fails.
+/// [`ToolError`] if the simulation stalls, `read_every` is zero or PAPI
+/// setup fails.
 pub fn run_papi(
     machine: &mut Machine,
     name: &str,
@@ -285,25 +254,21 @@ pub fn run_papi(
     nominal_period: Duration,
     costs: PapiCosts,
 ) -> Result<ToolRun, ToolError> {
+    if read_every == 0 {
+        return Err(ToolError::Tool("PAPI read_every must be positive".into()));
+    }
     let device = machine.register_device(Box::new(PerfEventKernel::new(costs.kernel)));
-    let shared = Arc::new(Mutex::new(PapiShared::default()));
-    let instrumented = PapiInstrumented::new(
-        workload,
-        device,
-        events.to_vec(),
-        read_every,
-        costs,
-        shared.clone(),
-    );
+    let instrumented = PapiInstrumented::new(workload, device, events.to_vec(), read_every, costs);
     let target = machine.spawn(name, CoreId(0), Box::new(instrumented));
     machine.run_until_exit(target).map_err(ToolError::Sim)?;
-    let guard = shared.lock().unwrap();
-    if let Some(err) = &guard.error {
-        return Err(ToolError::Tool(err.clone()));
+    let papi: PapiInstrumented = machine
+        .reap(target)
+        .ok_or_else(|| ToolError::Tool("PAPI target was not reaped".into()))?;
+    if let Some(err) = papi.error {
+        return Err(ToolError::Tool(err));
     }
-    let final_counts = guard
+    let final_counts = papi
         .final_counts
-        .clone()
         .ok_or_else(|| ToolError::Tool("PAPI final read missing".into()))?;
     Ok(ToolRun {
         tool: "PAPI",
@@ -314,7 +279,7 @@ pub fn run_papi(
             .zip(final_counts.events.iter().copied())
             .collect(),
         fixed_totals: final_counts.fixed,
-        samples: guard.samples.clone(),
+        samples: papi.samples,
         requested_period: nominal_period,
         effective_period: nominal_period,
     })

@@ -15,6 +15,8 @@ use pmu::{msr, EventSel, HwEvent, Multiplexer, NUM_FIXED, NUM_PROGRAMMABLE};
 
 use ksim::{CoreId, Device, Errno, Instant, KernelCtx, Pid, TimerId};
 
+use crate::common::ToolSample;
+
 /// `ioctl`: open a counting session (payload = JSON [`PerfOpenConfig`]).
 pub const PERF_OPEN: u64 = 0x5001;
 /// `ioctl`: read accumulated counts (out payload = JSON [`PerfCounts`]).
@@ -82,6 +84,29 @@ pub struct PerfCounts {
     pub target_alive: bool,
     /// Whether the totals are multiplex-scaled estimates.
     pub multiplexed: bool,
+}
+
+impl PerfCounts {
+    /// The interval sample between `last` (or the session start) and this
+    /// read: per-event and instruction deltas.
+    pub(crate) fn sample_since(&self, last: Option<&PerfCounts>) -> ToolSample {
+        let (values, instructions) = match last {
+            Some(last) => (
+                self.events
+                    .iter()
+                    .zip(&last.events)
+                    .map(|(now, then)| now.saturating_sub(*then))
+                    .collect(),
+                self.fixed[0].saturating_sub(last.fixed[0]),
+            ),
+            None => (self.events.clone(), self.fixed[0]),
+        };
+        ToolSample {
+            timestamp_ns: 0,
+            values,
+            instructions,
+        }
+    }
 }
 
 jsonlite::json_struct!(PerfOpenConfig {
@@ -210,8 +235,7 @@ impl PerfEventKernel {
         s.active = false;
     }
 
-    fn counts(&self) -> PerfCounts {
-        let s = self.session.as_ref().expect("session checked by caller");
+    fn counts(s: &Session) -> PerfCounts {
         let (events, multiplexed) = match &s.mux {
             Some(mux) => (mux.estimates().iter().map(|e| e.scaled).collect(), true),
             None => (s.accum_events.clone(), false),
@@ -295,22 +319,20 @@ impl Device for PerfEventKernel {
             }
             PERF_READ => {
                 let costs = self.costs;
-                {
-                    let Some(s) = self.session.as_mut() else {
-                        return Err(Errno::Perm);
-                    };
-                    ctx.charge_kernel_cycles(costs.read_cycles);
-                    ctx.touch_kernel_lines(costs.read_pollution_lines);
-                    // If counting is live (self-monitoring read), fold the
-                    // running counters in first.
-                    if s.active {
-                        Self::accumulate(ctx, s, false);
-                        let ck = s.cfg.count_kernel;
-                        Self::enable(ctx, s, ck);
-                    }
+                let Some(s) = self.session.as_mut() else {
+                    return Err(Errno::Perm);
+                };
+                ctx.charge_kernel_cycles(costs.read_cycles);
+                ctx.touch_kernel_lines(costs.read_pollution_lines);
+                // If counting is live (self-monitoring read), fold the
+                // running counters in first.
+                if s.active {
+                    Self::accumulate(ctx, s, false);
+                    let ck = s.cfg.count_kernel;
+                    Self::enable(ctx, s, ck);
                 }
-                let counts = self.counts();
-                Ok((0, jsonlite::to_vec(&counts).expect("counts serialize")))
+                let counts = Self::counts(s);
+                Ok((0, jsonlite::to_vec(&counts).unwrap_or_default()))
             }
             PERF_CLOSE => {
                 let Some(mut s) = self.session.take() else {

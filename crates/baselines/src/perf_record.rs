@@ -14,8 +14,6 @@
 //! the PMI handler, yielding a per-period time series like K-LEB's — at
 //! interrupt cost per sample instead of kernel-buffered timer cost.
 
-use std::sync::{Arc, Mutex};
-
 use pmu::{msr, EventSel, HwEvent};
 
 use ksim::{
@@ -23,7 +21,7 @@ use ksim::{
     WorkBlock, WorkItem, Workload,
 };
 
-use crate::common::{ToolRun, ToolSample};
+use crate::common::{event_codes, ToolRun, ToolSample};
 use crate::ToolError;
 
 /// `ioctl`: open a sampling session (payload = JSON [`RecordOpenConfig`]).
@@ -263,7 +261,7 @@ impl Device for PerfRecordModule {
                 let n = drain.samples.len() as u64;
                 let copy_cost = n * ctx.cost().copy_to_user_record;
                 ctx.charge_kernel_cycles(copy_cost);
-                Ok((0, jsonlite::to_vec(&drain).expect("drain serializes")))
+                Ok((0, jsonlite::to_vec(&drain).unwrap_or_default()))
             }
             RECORD_CLOSE => {
                 let Some(mut s) = self.session.take() else {
@@ -360,14 +358,9 @@ impl Device for PerfRecordModule {
     }
 }
 
-#[derive(Debug, Default)]
-struct RecordShared {
-    samples: Vec<ToolSample>,
-    error: Option<String>,
-}
-
 /// The `perf record` user process: opens the session, wakes the target and
-/// periodically drains the ring buffer to perf.data.
+/// periodically drains the ring buffer to perf.data. It keeps the drained
+/// samples and any error; [`run_perf_record`] reaps it after exit.
 #[derive(Debug)]
 struct PerfRecordProcess {
     device: DeviceId,
@@ -376,9 +369,10 @@ struct PerfRecordProcess {
     period_cycles: u64,
     count_kernel: bool,
     costs: PerfRecordCosts,
-    shared: Arc<Mutex<RecordShared>>,
     phase: u32,
     saw_dead: bool,
+    samples: Vec<ToolSample>,
+    error: Option<String>,
 }
 
 impl Workload for PerfRecordProcess {
@@ -395,28 +389,20 @@ impl Workload for PerfRecordProcess {
                     self.phase = PH_RESUME;
                     let cfg = RecordOpenConfig {
                         target: self.target.0,
-                        events: self
-                            .events
-                            .iter()
-                            .map(|e| {
-                                let c = e.code();
-                                (c.event, c.umask)
-                            })
-                            .collect(),
+                        events: event_codes(&self.events),
                         period_cycles: self.period_cycles,
                         count_kernel: self.count_kernel,
                     };
                     return Some(WorkItem::Syscall(Syscall::Ioctl {
                         device: self.device,
                         request: RECORD_OPEN,
-                        payload: jsonlite::to_vec(&cfg).expect("config serializes"),
+                        payload: jsonlite::to_vec(&cfg).unwrap_or_default(),
                     }));
                 }
                 PH_RESUME => {
                     if let Some(r) = prev.retval() {
                         if r != 0 {
-                            self.shared.lock().unwrap().error =
-                                Some(format!("perf record open failed: {r}"));
+                            self.error = Some(format!("perf record open failed: {r}"));
                             return None;
                         }
                     }
@@ -441,20 +427,16 @@ impl Workload for PerfRecordProcess {
                         _ => None,
                     };
                     let Some(drain) = drain else {
-                        self.shared.lock().unwrap().error = Some("drain failed".into());
+                        self.error = Some("drain failed".into());
                         return None;
                     };
                     let n = drain.samples.len();
-                    {
-                        let mut shared = self.shared.lock().unwrap();
-                        shared
-                            .samples
-                            .extend(drain.samples.into_iter().map(|w| ToolSample {
-                                timestamp_ns: w.t,
-                                values: w.v,
-                                instructions: w.i,
-                            }));
-                    }
+                    self.samples
+                        .extend(drain.samples.into_iter().map(|w| ToolSample {
+                            timestamp_ns: w.t,
+                            values: w.v,
+                            instructions: w.i,
+                        }));
                     if !drain.target_alive {
                         if self.saw_dead {
                             self.phase = PH_CLOSE;
@@ -507,7 +489,6 @@ pub fn run_perf_record(
     let device = machine.register_device(Box::new(PerfRecordModule::new(costs)));
     machine.set_pmi_handler(CoreId(0), device);
     let target = machine.spawn_suspended(name, CoreId(0), workload);
-    let shared = Arc::new(Mutex::new(RecordShared::default()));
     let perf = machine.spawn(
         "perf-record",
         CoreId(0),
@@ -518,20 +499,23 @@ pub fn run_perf_record(
             period_cycles,
             count_kernel,
             costs,
-            shared: shared.clone(),
             phase: 0,
             saw_dead: false,
+            samples: Vec::new(),
+            error: None,
         }),
     );
     machine.run_until_exit(perf).map_err(ToolError::Sim)?;
-    let guard = shared.lock().unwrap();
-    if let Some(err) = &guard.error {
-        return Err(ToolError::Tool(err.clone()));
+    let perf: PerfRecordProcess = machine
+        .reap(perf)
+        .ok_or_else(|| ToolError::Tool("perf record process was not reaped".into()))?;
+    if let Some(err) = perf.error {
+        return Err(ToolError::Tool(err));
     }
     // perf report reconstructs totals by summing sample deltas.
     let mut totals = vec![0u64; events.len()];
     let mut instr = 0u64;
-    for s in &guard.samples {
+    for s in &perf.samples {
         for (t, v) in totals.iter_mut().zip(&s.values) {
             *t += v;
         }
@@ -542,7 +526,7 @@ pub fn run_perf_record(
         target: machine.process(target).clone(),
         event_totals: events.into_iter().zip(totals).collect(),
         fixed_totals: [instr, 0, 0],
-        samples: guard.samples.clone(),
+        samples: perf.samples,
         requested_period: period,
         effective_period: period,
     })

@@ -12,15 +12,13 @@
 //!   switch counter virtualization on top (see
 //!   [`crate::perf_kernel::PerfEventKernel`]).
 
-use std::sync::{Arc, Mutex};
-
 use pmu::HwEvent;
 
 use ksim::{
     CoreId, DeviceId, Duration, ItemResult, Machine, Pid, Syscall, WorkBlock, WorkItem, Workload,
 };
 
-use crate::common::{ToolRun, ToolSample};
+use crate::common::{event_codes, ToolRun, ToolSample};
 use crate::perf_kernel::{
     PerfCounts, PerfEventKernel, PerfKernelCosts, PERF_CLOSE, PERF_OPEN, PERF_READ,
 };
@@ -76,14 +74,8 @@ impl PerfStatCosts {
     }
 }
 
-#[derive(Debug, Default)]
-struct PerfStatShared {
-    samples: Vec<ToolSample>,
-    final_counts: Option<PerfCounts>,
-    error: Option<String>,
-}
-
-/// The `perf stat` process.
+/// The `perf stat` process. It keeps its own samples, final counts and
+/// error; [`run_perf_stat`] reaps it after exit to read them.
 #[derive(Debug)]
 struct PerfStatProcess {
     device: DeviceId,
@@ -92,145 +84,118 @@ struct PerfStatProcess {
     interval: Duration,
     costs: PerfStatCosts,
     count_kernel: bool,
-    shared: Arc<Mutex<PerfStatShared>>,
-    phase: u32,
+    phase: Phase,
     last: Option<PerfCounts>,
-    pending: Option<PerfCounts>,
+    samples: Vec<ToolSample>,
+    final_counts: Option<PerfCounts>,
+    error: Option<String>,
 }
 
 impl PerfStatProcess {
     fn open_payload(&self) -> Vec<u8> {
         let cfg = crate::perf_kernel::PerfOpenConfig {
             target: self.target.0,
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    let c = e.code();
-                    (c.event, c.umask)
-                })
-                .collect(),
+            events: event_codes(&self.events),
             count_kernel: self.count_kernel,
             track_children: true,
         };
-        jsonlite::to_vec(&cfg).expect("config serializes")
+        jsonlite::to_vec(&cfg).unwrap_or_default()
     }
 }
 
-const PH_SETUP: u32 = 0;
-const PH_OPEN: u32 = 1;
-const PH_RESUME: u32 = 2;
-const PH_SLEEP: u32 = 3;
-const PH_READ: u32 = 4;
-const PH_FORMAT: u32 = 5;
-const PH_CLOSE: u32 = 6;
-const PH_DONE: u32 = 7;
+#[derive(Debug)]
+enum Phase {
+    Setup,
+    Open,
+    Resume,
+    Sleep,
+    Read,
+    Format,
+    /// The interval work is done; `Close` records the counts the read
+    /// returned and decides whether to keep sampling.
+    Close(PerfCounts),
+    Done,
+}
 
 impl Workload for PerfStatProcess {
     fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
         loop {
-            match self.phase {
-                PH_SETUP => {
-                    self.phase = PH_OPEN;
+            match std::mem::replace(&mut self.phase, Phase::Done) {
+                Phase::Setup => {
+                    self.phase = Phase::Open;
                     return Some(WorkItem::Block(WorkBlock::compute(
                         self.costs.setup_cycles * 4 / 5,
                         self.costs.setup_cycles,
                     )));
                 }
-                PH_OPEN => {
-                    self.phase = PH_RESUME;
+                Phase::Open => {
+                    self.phase = Phase::Resume;
                     return Some(WorkItem::Syscall(Syscall::Ioctl {
                         device: self.device,
                         request: PERF_OPEN,
                         payload: self.open_payload(),
                     }));
                 }
-                PH_RESUME => {
+                Phase::Resume => {
                     if let Some(r) = prev.retval() {
                         if r != 0 {
-                            self.shared.lock().unwrap().error =
-                                Some(format!("perf_event_open failed: {r}"));
-                            self.phase = PH_DONE;
+                            self.error = Some(format!("perf_event_open failed: {r}"));
                             return None;
                         }
                     }
-                    self.phase = PH_SLEEP;
+                    self.phase = Phase::Sleep;
                     return Some(WorkItem::Syscall(Syscall::Resume(self.target)));
                 }
-                PH_SLEEP => {
-                    self.phase = PH_READ;
+                Phase::Sleep => {
+                    self.phase = Phase::Read;
                     return Some(WorkItem::Sleep(self.interval));
                 }
-                PH_READ => {
-                    self.phase = PH_FORMAT;
+                Phase::Read => {
+                    self.phase = Phase::Format;
                     return Some(WorkItem::Syscall(Syscall::Ioctl {
                         device: self.device,
                         request: PERF_READ,
                         payload: Vec::new(),
                     }));
                 }
-                PH_FORMAT => {
+                Phase::Format => {
                     let counts: Option<PerfCounts> = match prev {
                         ItemResult::Syscall { payload, .. } => jsonlite::from_slice(payload).ok(),
                         _ => None,
                     };
                     let Some(counts) = counts else {
-                        self.shared.lock().unwrap().error = Some("perf read failed".into());
-                        self.phase = PH_DONE;
+                        self.error = Some("perf read failed".into());
                         return None;
                     };
-                    self.pending = Some(counts);
-                    self.phase = PH_CLOSE; // provisional; CLOSE phase decides
-                                           // Interval work: aggregate + format + print, plus the
-                                           // kernel-side IPI/synchronization tax of the read
-                                           // (charged as part of the perf process's occupancy of
-                                           // the shared core).
+                    self.phase = Phase::Close(counts);
+                    // Interval work: aggregate + format + print, plus the
+                    // kernel-side IPI/synchronization tax of the read
+                    // (charged as part of the perf process's occupancy of
+                    // the shared core).
                     return Some(WorkItem::Block(WorkBlock::compute(
                         self.costs.interval_user_instructions,
                         self.costs.interval_user_cycles + self.costs.interval_kernel_cycles,
                     )));
                 }
-                PH_CLOSE => {
-                    let counts = self.pending.take().expect("set in PH_FORMAT");
+                Phase::Close(counts) => {
                     // Record the interval delta as a sample.
-                    {
-                        let mut shared = self.shared.lock().unwrap();
-                        let delta_events: Vec<u64> = match &self.last {
-                            Some(last) => counts
-                                .events
-                                .iter()
-                                .zip(&last.events)
-                                .map(|(now, then)| now.saturating_sub(*then))
-                                .collect(),
-                            None => counts.events.clone(),
-                        };
-                        let delta_instr = match &self.last {
-                            Some(last) => counts.fixed[0].saturating_sub(last.fixed[0]),
-                            None => counts.fixed[0],
-                        };
-                        shared.samples.push(ToolSample {
-                            timestamp_ns: 0, // filled by the runner if needed
-                            values: delta_events,
-                            instructions: delta_instr,
-                        });
-                        if !counts.target_alive {
-                            shared.final_counts = Some(counts.clone());
-                        }
-                    }
+                    self.samples.push(counts.sample_since(self.last.as_ref()));
                     let alive = counts.target_alive;
+                    if !alive {
+                        self.final_counts = Some(counts.clone());
+                    }
                     self.last = Some(counts);
                     if alive {
-                        self.phase = PH_SLEEP;
+                        self.phase = Phase::Sleep;
                         continue;
                     }
-                    self.phase = PH_DONE;
                     return Some(WorkItem::Syscall(Syscall::Ioctl {
                         device: self.device,
                         request: PERF_CLOSE,
                         payload: Vec::new(),
                     }));
                 }
-                _ => return None,
+                Phase::Done => return None,
             }
         }
     }
@@ -257,7 +222,6 @@ pub fn run_perf_stat(
     let effective = period.max(PERF_MIN_INTERVAL);
     let device = machine.register_device(Box::new(PerfEventKernel::new(costs.kernel)));
     let target = machine.spawn_suspended(name, CoreId(0), workload);
-    let shared = Arc::new(Mutex::new(PerfStatShared::default()));
     let perf = machine.spawn(
         "perf-stat",
         CoreId(0),
@@ -268,20 +232,22 @@ pub fn run_perf_stat(
             interval: effective,
             costs,
             count_kernel,
-            shared: shared.clone(),
-            phase: PH_SETUP,
+            phase: Phase::Setup,
             last: None,
-            pending: None,
+            samples: Vec::new(),
+            final_counts: None,
+            error: None,
         }),
     );
     machine.run_until_exit(perf).map_err(ToolError::Sim)?;
-    let guard = shared.lock().unwrap();
-    if let Some(err) = &guard.error {
-        return Err(ToolError::Tool(err.clone()));
+    let perf: PerfStatProcess = machine
+        .reap(perf)
+        .ok_or_else(|| ToolError::Tool("perf stat process was not reaped".into()))?;
+    if let Some(err) = perf.error {
+        return Err(ToolError::Tool(err));
     }
-    let final_counts = guard
+    let final_counts = perf
         .final_counts
-        .clone()
         .ok_or_else(|| ToolError::Tool("perf stat never saw target exit".into()))?;
     Ok(ToolRun {
         tool: "perf stat",
@@ -292,7 +258,7 @@ pub fn run_perf_stat(
             .zip(final_counts.events.iter().copied())
             .collect(),
         fixed_totals: final_counts.fixed,
-        samples: guard.samples.clone(),
+        samples: perf.samples,
         requested_period: period,
         effective_period: effective,
     })

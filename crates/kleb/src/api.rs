@@ -26,7 +26,7 @@ use pmu::HwEvent;
 use ksim::{CoreId, Duration, Machine, ProcessInfo, SimError, Workload};
 
 use crate::config::{ModuleStatus, MonitorConfig};
-use crate::controller::{shared_report, Controller, SampleSink};
+use crate::controller::{Controller, SampleSink};
 use crate::governor::{GovernorStats, RateGovernor, RatePolicy};
 use crate::module::{KlebModule, KlebTuning};
 use crate::sample::Sample;
@@ -278,11 +278,10 @@ impl Monitor {
         cfg.buffer_capacity = self.buffer_capacity;
         cfg.count_kernel = self.count_kernel;
 
-        let report = shared_report();
         let drain = self
             .drain_interval
             .unwrap_or_else(|| Controller::default_drain_interval(self.period));
-        let mut controller_workload = Controller::new(device, cfg, target, drain, report.clone());
+        let mut controller_workload = Controller::new(device, cfg, target, drain);
         if !resume_target {
             controller_workload = controller_workload.attach_running();
         }
@@ -304,18 +303,25 @@ impl Monitor {
 
         machine.run_until_exit(controller)?;
 
-        let guard = crate::controller::lock_report(&report);
-        if let Some(err) = &guard.error {
-            return Err(MonitorError::Controller(err.clone()));
+        let report = machine
+            .reap::<Controller>(controller)
+            .ok_or_else(|| MonitorError::Controller("controller was not reaped".into()))?
+            .into_report();
+        if let Some(err) = report.error {
+            return Err(MonitorError::Controller(err));
         }
         let target_info = machine.process(target).clone();
+        let mut samples = report.samples;
+        // The outcome outlives the run (a fleet keeps one per machine):
+        // return the growth slack of the drain-by-drain appends.
+        samples.shrink_to_fit();
         Ok(MonitorOutcome {
-            samples: guard.samples.clone(),
+            samples,
             target: target_info,
-            status: guard.final_status.unwrap_or_default(),
+            status: report.final_status.unwrap_or_default(),
             events: self.events.clone(),
-            recovery: guard.recovery,
-            governor: guard.governor,
+            recovery: report.recovery,
+            governor: report.governor,
         })
     }
 }

@@ -11,8 +11,6 @@
 //! own core, which is precisely why K-LEB's overhead on the monitored core
 //! stays low.
 
-use std::sync::{Arc, Mutex};
-
 use ksim::{DeviceId, Duration, Errno, ItemResult, Pid, Syscall, WorkBlock, WorkItem, Workload};
 
 use crate::config::{
@@ -66,8 +64,10 @@ pub struct RecoveryStats {
     pub degraded: bool,
 }
 
-/// Shared result channel between the controller process and the host code
-/// that spawned it.
+/// What the controller collected. The controller owns it; [`Monitor`]
+/// reaps the exited controller to read it.
+///
+/// [`Monitor`]: crate::Monitor
 #[derive(Debug, Default)]
 pub struct ControllerReport {
     /// All decoded samples, in time order.
@@ -83,23 +83,6 @@ pub struct ControllerReport {
     /// Rate-governor accounting (all zero when ungoverned or never
     /// pressured).
     pub governor: GovernorStats,
-}
-
-/// Handle to a [`ControllerReport`] shared with a running controller.
-pub type SharedReport = Arc<Mutex<ControllerReport>>;
-
-/// Creates an empty shared report.
-pub fn shared_report() -> SharedReport {
-    Arc::new(Mutex::new(ControllerReport::default()))
-}
-
-/// Locks a shared report, recovering from poisoning: a panic elsewhere
-/// must not cascade into the controller, and the report data stays valid
-/// (it is only ever appended to under the lock).
-pub(crate) fn lock_report(report: &SharedReport) -> std::sync::MutexGuard<'_, ControllerReport> {
-    report
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Per-record user-space logging cost (format + write to the log file,
@@ -141,7 +124,8 @@ enum Phase {
 /// The controller workload.
 ///
 /// Drive it with [`ksim::Machine::spawn`] on a different core than the
-/// target; read results from the [`SharedReport`] after it exits.
+/// target; its [`ControllerReport`] stays with it until it is reaped with
+/// [`ksim::Machine::reap`] after it exits.
 #[derive(Debug)]
 pub struct Controller {
     device: DeviceId,
@@ -149,7 +133,7 @@ pub struct Controller {
     target: Pid,
     resume_target: bool,
     drain_interval: Duration,
-    report: SharedReport,
+    report: ControllerReport,
     sink: Option<Box<dyn SampleSink>>,
     phase: Phase,
     /// EAGAIN retries consumed for the drain in flight.
@@ -200,7 +184,6 @@ impl Controller {
         cfg: MonitorConfig,
         target: Pid,
         drain_interval: Duration,
-        report: SharedReport,
     ) -> Self {
         Self {
             device,
@@ -208,7 +191,7 @@ impl Controller {
             target,
             resume_target: true,
             drain_interval,
-            report,
+            report: ControllerReport::default(),
             sink: None,
             phase: Phase::Config,
             drain_attempt: 0,
@@ -274,8 +257,13 @@ impl Controller {
         }
     }
 
+    /// The report of a controller reaped after exit.
+    pub(crate) fn into_report(self) -> ControllerReport {
+        self.report
+    }
+
     fn fail(&mut self, what: &str, retval: i64) -> Option<WorkItem> {
-        lock_report(&self.report).error = Some(format!("{what} failed: {retval}"));
+        self.report.error = Some(format!("{what} failed: {retval}"));
         self.phase = Phase::Done;
         None
     }
@@ -364,12 +352,12 @@ impl Workload for Controller {
                     if prev.retval() == Some(Errno::Again.as_retval()) {
                         if self.drain_attempt < MAX_DRAIN_RETRIES {
                             self.drain_attempt += 1;
-                            lock_report(&self.report).recovery.drain_retries += 1;
+                            self.report.recovery.drain_retries += 1;
                             let pause = self.backoff(self.drain_attempt);
                             self.phase = Phase::Drain;
                             return Some(WorkItem::Sleep(pause));
                         }
-                        lock_report(&self.report).recovery.drains_abandoned += 1;
+                        self.report.recovery.drains_abandoned += 1;
                         self.drain_attempt = 0;
                         self.phase = Phase::Status;
                         continue;
@@ -384,9 +372,8 @@ impl Workload for Controller {
                                 sink.on_batch(&samples);
                             }
                         }
-                        let mut report = lock_report(&self.report);
-                        report.samples.extend(samples);
-                        report.drains += 1;
+                        self.report.samples.extend(samples);
+                        self.report.drains += 1;
                         n
                     } else {
                         0
@@ -429,7 +416,7 @@ impl Workload for Controller {
                                     buffered: s.buffered,
                                     capacity: self.cfg.buffer_capacity as u64,
                                 });
-                                lock_report(&self.report).governor = gov.stats();
+                                self.report.governor = gov.stats();
                                 if let RateDecision::Retune { period_ns, seq } = decision {
                                     self.phase = Phase::AfterRetune { seq, period_ns };
                                     let mut payload = period_ns.to_le_bytes().to_vec();
@@ -437,7 +424,7 @@ impl Workload for Controller {
                                     return Some(self.ioctl(IOCTL_SET_PERIOD, payload));
                                 }
                                 if stalled {
-                                    lock_report(&self.report).recovery.kicks += 1;
+                                    self.report.recovery.kicks += 1;
                                     self.phase = Phase::AfterKick;
                                     return Some(self.ioctl(IOCTL_KICK, Vec::new()));
                                 }
@@ -453,10 +440,8 @@ impl Workload for Controller {
                                 && s.period_ns > 0
                             {
                                 self.doublings += 1;
-                                let mut report = lock_report(&self.report);
-                                report.recovery.period_doublings = self.doublings;
-                                report.recovery.degraded = true;
-                                drop(report);
+                                self.report.recovery.period_doublings = self.doublings;
+                                self.report.recovery.degraded = true;
                                 self.phase = Phase::AfterSetPeriod;
                                 let doubled = s.period_ns.saturating_mul(2);
                                 return Some(
@@ -467,7 +452,7 @@ impl Workload for Controller {
                                 // samples_taken froze between polls: the
                                 // sampling timer may have lost its expiry.
                                 // Kick it (a no-op if nothing is stalled).
-                                lock_report(&self.report).recovery.kicks += 1;
+                                self.report.recovery.kicks += 1;
                                 self.phase = Phase::AfterKick;
                                 return Some(self.ioctl(IOCTL_KICK, Vec::new()));
                             }
@@ -482,7 +467,7 @@ impl Workload for Controller {
                 }
                 Phase::AfterKick => {
                     if prev.retval() == Some(1) {
-                        lock_report(&self.report).recovery.kicks_honoured += 1;
+                        self.report.recovery.kicks_honoured += 1;
                     }
                     self.phase = Phase::Sleep;
                 }
@@ -495,7 +480,7 @@ impl Workload for Controller {
                     if prev.retval() == Some(seq as i64) {
                         if let Some(gov) = &mut self.governor {
                             gov.acked(seq);
-                            lock_report(&self.report).governor = gov.stats();
+                            self.report.governor = gov.stats();
                         }
                         if let Some(sink) = &mut self.sink {
                             sink.on_retune(seq, period_ns);
@@ -515,7 +500,7 @@ impl Workload for Controller {
                         && self.final_attempt < MAX_FINAL_DRAIN_RETRIES
                     {
                         self.final_attempt += 1;
-                        lock_report(&self.report).recovery.drain_retries += 1;
+                        self.report.recovery.drain_retries += 1;
                         let pause = self.backoff(self.final_attempt);
                         self.phase = Phase::FinalDrain;
                         return Some(WorkItem::Sleep(pause));
@@ -529,9 +514,8 @@ impl Workload for Controller {
                                     sink.on_batch(&samples);
                                 }
                             }
-                            let mut report = lock_report(&self.report);
-                            report.samples.extend(samples);
-                            report.drains += 1;
+                            self.report.samples.extend(samples);
+                            self.report.drains += 1;
                             // Buffer may still hold more records than one
                             // read returned; drain again.
                             if *retval as usize >= RECORD_BYTES {
@@ -546,7 +530,7 @@ impl Workload for Controller {
                 Phase::Done => {
                     if let ItemResult::Syscall { payload, .. } = prev {
                         if let Some(s) = ModuleStatus::from_payload(payload) {
-                            lock_report(&self.report).final_status = Some(s);
+                            self.report.final_status = Some(s);
                         }
                     }
                     if let Some(sink) = &mut self.sink {
@@ -577,14 +561,5 @@ mod tests {
             Controller::default_drain_interval(Duration::from_micros(100)),
             Duration::from_micros(6400)
         );
-    }
-
-    #[test]
-    fn shared_report_starts_empty() {
-        let r = shared_report();
-        let g = r.lock().unwrap();
-        assert!(g.samples.is_empty());
-        assert!(g.final_status.is_none());
-        assert!(g.error.is_none());
     }
 }

@@ -41,9 +41,7 @@ pub mod sample;
 
 pub use api::{monitor_sequential, Monitor, MonitorError, MonitorOutcome, SequentialOutcome};
 pub use config::{ConfigError, ModuleStatus, MonitorConfig};
-pub use controller::{
-    shared_report, Controller, ControllerReport, RecoveryStats, SampleSink, SharedReport,
-};
+pub use controller::{Controller, ControllerReport, RecoveryStats, SampleSink};
 pub use governor::{GovernorStats, PressureSample, RateDecision, RateGovernor, RatePolicy};
 pub use log::{parse_csv, render_csv, LogParseError};
 pub use module::{KlebModule, KlebTuning};

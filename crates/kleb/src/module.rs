@@ -570,17 +570,16 @@ mod tests {
         Workload,
     };
     use pmu::HwEvent;
-    use std::sync::{Arc, Mutex};
 
     /// Scripted controller: configure, start, resume target, sleep, drain
-    /// everything, stop; samples land in the shared sink.
+    /// everything, stop; it keeps the samples and statuses it collected.
     #[derive(Debug)]
     struct ScriptController {
         device: ksim::DeviceId,
         cfg: MonitorConfig,
         target: Pid,
-        sink: Arc<Mutex<Vec<Sample>>>,
-        statuses: Arc<Mutex<Vec<ModuleStatus>>>,
+        samples: Vec<Sample>,
+        statuses: Vec<ModuleStatus>,
         phase: u32,
         sleep: Duration,
         rounds: u32,
@@ -592,12 +591,9 @@ mod tests {
             if let ItemResult::Syscall { payload, .. } = prev {
                 if !payload.is_empty() {
                     if let Some(status) = ModuleStatus::from_payload(payload) {
-                        self.statuses.lock().unwrap().push(status);
+                        self.statuses.push(status);
                     } else {
-                        self.sink
-                            .lock()
-                            .unwrap()
-                            .extend(Sample::decode_all(payload));
+                        self.samples.extend(Sample::decode_all(payload));
                     }
                 }
             }
@@ -648,8 +644,18 @@ mod tests {
         machine: Machine,
         target: Pid,
         controller: Pid,
-        sink: Arc<Mutex<Vec<Sample>>>,
-        statuses: Arc<Mutex<Vec<ModuleStatus>>>,
+    }
+
+    impl Harness {
+        /// Runs the target and the controller to exit and reaps the
+        /// controller.
+        fn finish(&mut self) -> ScriptController {
+            self.machine.run_until_exit(self.target).unwrap();
+            self.machine.run_until_exit(self.controller).unwrap();
+            self.machine
+                .reap(self.controller)
+                .expect("controller exited")
+        }
     }
 
     fn harness(workload: Box<dyn Workload>, period: Duration, capacity: usize) -> Harness {
@@ -673,8 +679,6 @@ mod tests {
             period,
         );
         cfg.buffer_capacity = capacity;
-        let sink = Arc::new(Mutex::new(Vec::new()));
-        let statuses = Arc::new(Mutex::new(Vec::new()));
         let controller = machine.spawn(
             "controller",
             ksim::CoreId(1),
@@ -682,8 +686,8 @@ mod tests {
                 device,
                 cfg,
                 target,
-                sink: sink.clone(),
-                statuses: statuses.clone(),
+                samples: Vec::new(),
+                statuses: Vec::new(),
                 phase: 0,
                 sleep: Duration::from_millis(2),
                 rounds: 30,
@@ -693,8 +697,6 @@ mod tests {
             machine,
             target,
             controller,
-            sink,
-            statuses,
         }
     }
 
@@ -706,9 +708,7 @@ mod tests {
     #[test]
     fn periodic_samples_cover_the_run() {
         let mut h = harness(compute_workload(), Duration::from_micros(500), 8192);
-        h.machine.run_until_exit(h.target).unwrap();
-        h.machine.run_until_exit(h.controller).unwrap();
-        let samples = h.sink.lock().unwrap();
+        let samples = h.finish().samples;
         // ~10ms of work at 500µs → about 20 samples (+1 final).
         assert!(
             samples.len() >= 15 && samples.len() <= 30,
@@ -725,9 +725,7 @@ mod tests {
     #[test]
     fn sample_deltas_sum_to_true_counts() {
         let mut h = harness(compute_workload(), Duration::from_micros(500), 8192);
-        h.machine.run_until_exit(h.target).unwrap();
-        h.machine.run_until_exit(h.controller).unwrap();
-        let samples = h.sink.lock().unwrap();
+        let samples = h.finish().samples;
         let total_instructions: u64 = samples.iter().map(|s| s.instructions()).sum();
         let truth = h
             .machine
@@ -749,9 +747,7 @@ mod tests {
             ksim::CoreId(0),
             Box::new(FixedBlocks::new(20_000, WorkBlock::compute(1_000, 2_670))),
         );
-        h.machine.run_until_exit(h.target).unwrap();
-        h.machine.run_until_exit(h.controller).unwrap();
-        let samples = h.sink.lock().unwrap();
+        let samples = h.finish().samples;
         let total: u64 = samples.iter().map(|s| s.instructions()).sum();
         let truth = h
             .machine
@@ -766,24 +762,21 @@ mod tests {
         // Tiny buffer (8 records) with fast sampling and slow drains forces
         // the starvation safety mechanism to trip.
         let mut h = harness(compute_workload(), Duration::from_micros(100), 8);
-        h.machine.run_until_exit(h.target).unwrap();
-        h.machine.run_until_exit(h.controller).unwrap();
-        let statuses = h.statuses.lock().unwrap();
-        let final_status = statuses.last().expect("controller queried status");
+        let ctl = h.finish();
+        let final_status = ctl.statuses.last().expect("controller queried status");
         assert!(final_status.pauses > 0, "safety stop should have tripped");
         // And collection resumed after drains: more samples than capacity.
         assert!(final_status.samples_taken > 8);
         // Nothing was dropped: every taken sample was either drained or
         // still buffered at stop time (we drained after stop).
         assert_eq!(final_status.samples_dropped, 0);
-        let drained = h.sink.lock().unwrap().len() as u64;
+        let drained = ctl.samples.len() as u64;
         assert_eq!(
             drained + final_status.samples_dropped,
             final_status.samples_taken
         );
         // Sequence numbers are gap-free on a healthy machine.
-        let samples = h.sink.lock().unwrap();
-        for (i, s) in samples.iter().enumerate() {
+        for (i, s) in ctl.samples.iter().enumerate() {
             assert_eq!(s.seq, i as u64);
             assert!(!s.gap);
         }
@@ -794,11 +787,10 @@ mod tests {
         let mut cfg = MachineConfig::test_tiny(5);
         cfg.faults = ksim::FaultPlan::ring_pressure(0.2);
         let mut h = harness_on(cfg, compute_workload(), Duration::from_micros(100), 8192);
-        h.machine.run_until_exit(h.target).unwrap();
-        h.machine.run_until_exit(h.controller).unwrap();
-        let status = *h.statuses.lock().unwrap().last().expect("status polled");
+        let ctl = h.finish();
+        let status = *ctl.statuses.last().expect("status polled");
         assert!(status.samples_dropped > 0, "20% pressure must drop some");
-        let samples = h.sink.lock().unwrap();
+        let samples = ctl.samples;
         // The ledger balances: everything taken was drained or accounted
         // as dropped (the controller drains to empty after stop).
         assert_eq!(
@@ -841,13 +833,13 @@ mod tests {
             cfg: MonitorConfig,
             target: Pid,
             phase: u32,
-            kicks_honoured: Arc<Mutex<u64>>,
+            kicks_honoured: u64,
         }
         impl Workload for Kicker {
             fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
                 if self.phase > 3 {
                     if let Some(1) = prev.retval() {
-                        *self.kicks_honoured.lock().unwrap() += 1;
+                        self.kicks_honoured += 1;
                     }
                 }
                 let phase = self.phase;
@@ -879,7 +871,6 @@ mod tests {
                 }
             }
         }
-        let kicks_honoured = Arc::new(Mutex::new(0));
         let controller = machine.spawn(
             "controller",
             ksim::CoreId(1),
@@ -888,13 +879,14 @@ mod tests {
                 cfg: mon,
                 target,
                 phase: 0,
-                kicks_honoured: kicks_honoured.clone(),
+                kicks_honoured: 0,
             }),
         );
         machine.run_until_exit(target).unwrap();
         machine.run_until_exit(controller).unwrap();
+        let kicker: Kicker = machine.reap(controller).expect("controller exited");
         assert!(
-            *kicks_honoured.lock().unwrap() > 0,
+            kicker.kicks_honoured > 0,
             "kicks must repair stalled timers (every fire is lost here)"
         );
     }
@@ -914,16 +906,16 @@ mod tests {
             cfg: MonitorConfig,
             target: Pid,
             phase: u32,
-            statuses: Arc<Mutex<Vec<ModuleStatus>>>,
-            retvals: Arc<Mutex<Vec<i64>>>,
+            statuses: Vec<ModuleStatus>,
+            retvals: Vec<i64>,
         }
         impl Workload for PeriodChanger {
             fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
                 if let ItemResult::Syscall { retval, payload } = prev {
                     if let Some(s) = ModuleStatus::from_payload(payload) {
-                        self.statuses.lock().unwrap().push(s);
+                        self.statuses.push(s);
                     }
-                    self.retvals.lock().unwrap().push(*retval);
+                    self.retvals.push(*retval);
                 }
                 let phase = self.phase;
                 self.phase += 1;
@@ -965,8 +957,6 @@ mod tests {
                 }
             }
         }
-        let statuses = Arc::new(Mutex::new(Vec::new()));
-        let retvals = Arc::new(Mutex::new(Vec::new()));
         let controller = machine.spawn(
             "controller",
             ksim::CoreId(1),
@@ -975,14 +965,15 @@ mod tests {
                 cfg: mon,
                 target,
                 phase: 0,
-                statuses: statuses.clone(),
-                retvals: retvals.clone(),
+                statuses: Vec::new(),
+                retvals: Vec::new(),
             }),
         );
         machine.run_until_exit(controller).unwrap();
-        let status = *statuses.lock().unwrap().last().expect("status polled");
+        let changer: PeriodChanger = machine.reap(controller).expect("controller exited");
+        let status = *changer.statuses.last().expect("status polled");
         assert_eq!(status.period_ns, 200_000, "doubled period is in effect");
-        let r = retvals.lock().unwrap();
+        let r = changer.retvals;
         // set_period: ok, then EINVAL for short payload and zero period.
         assert!(r.windows(3).any(|w| w == [0, -22, -22]), "retvals: {r:?}");
     }
@@ -1002,18 +993,15 @@ mod tests {
             cfg: MonitorConfig,
             target: Pid,
             phase: u32,
-            sink: Arc<Mutex<Vec<Sample>>>,
-            retvals: Arc<Mutex<Vec<i64>>>,
+            samples: Vec<Sample>,
+            retvals: Vec<i64>,
         }
         impl Workload for Retuner {
             fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
                 if let ItemResult::Syscall { retval, payload } = prev {
-                    self.retvals.lock().unwrap().push(*retval);
+                    self.retvals.push(*retval);
                     if !payload.is_empty() {
-                        self.sink
-                            .lock()
-                            .unwrap()
-                            .extend(Sample::decode_all(payload));
+                        self.samples.extend(Sample::decode_all(payload));
                     }
                 }
                 let phase = self.phase;
@@ -1055,8 +1043,6 @@ mod tests {
                 }
             }
         }
-        let sink = Arc::new(Mutex::new(Vec::new()));
-        let retvals = Arc::new(Mutex::new(Vec::new()));
         let controller = machine.spawn(
             "controller",
             ksim::CoreId(1),
@@ -1065,14 +1051,15 @@ mod tests {
                 cfg: mon,
                 target,
                 phase: 0,
-                sink: sink.clone(),
-                retvals: retvals.clone(),
+                samples: Vec::new(),
+                retvals: Vec::new(),
             }),
         );
         machine.run_until_exit(controller).unwrap();
-        let r = retvals.lock().unwrap();
+        let retuner: Retuner = machine.reap(controller).expect("controller exited");
+        let r = &retuner.retvals;
         assert!(r.contains(&42), "the module must ack the retune seq: {r:?}");
-        let samples = sink.lock().unwrap();
+        let samples = retuner.samples;
         let marked: Vec<usize> = samples
             .iter()
             .enumerate()
@@ -1115,9 +1102,7 @@ mod tests {
             Duration::from_micros(500),
             8192,
         );
-        h.machine.run_until_exit(h.target).unwrap();
-        h.machine.run_until_exit(h.controller).unwrap();
-        let samples = h.sink.lock().unwrap();
+        let samples = h.finish().samples;
         let total: u64 = samples.iter().map(|s| s.instructions()).sum();
         // Child pid is target+... find the worker process (name match).
         let worker_truth: u64 = (1..=3)
@@ -1150,13 +1135,13 @@ mod tests {
         #[derive(Debug)]
         struct BadCaller {
             device: ksim::DeviceId,
-            retvals: Arc<Mutex<Vec<i64>>>,
+            retvals: Vec<i64>,
             phase: u32,
         }
         impl Workload for BadCaller {
             fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
                 if let Some(r) = prev.retval() {
-                    self.retvals.lock().unwrap().push(r);
+                    self.retvals.push(r);
                 }
                 self.phase += 1;
                 match self.phase {
@@ -1184,19 +1169,18 @@ mod tests {
                 }
             }
         }
-        let retvals = Arc::new(Mutex::new(Vec::new()));
         let pid = machine.spawn(
             "bad",
             ksim::CoreId(0),
             Box::new(BadCaller {
                 device,
-                retvals: retvals.clone(),
+                retvals: Vec::new(),
                 phase: 0,
             }),
         );
         machine.run_until_exit(pid).unwrap();
-        let r = retvals.lock().unwrap();
-        assert_eq!(r.as_slice(), &[-1, -1, -22, -22]);
+        let bad: BadCaller = machine.reap(pid).expect("caller exited");
+        assert_eq!(bad.retvals.as_slice(), &[-1, -1, -22, -22]);
     }
 
     #[test]
@@ -1206,13 +1190,13 @@ mod tests {
         #[derive(Debug)]
         struct Caller {
             device: ksim::DeviceId,
-            retval: Arc<Mutex<i64>>,
+            retval: i64,
             done: bool,
         }
         impl Workload for Caller {
             fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
                 if let Some(r) = prev.retval() {
-                    *self.retval.lock().unwrap() = r;
+                    self.retval = r;
                 }
                 if self.done {
                     return None;
@@ -1226,17 +1210,17 @@ mod tests {
                 }))
             }
         }
-        let retval = Arc::new(Mutex::new(0));
         let pid = machine.spawn(
             "c",
             ksim::CoreId(0),
             Box::new(Caller {
                 device,
-                retval: retval.clone(),
+                retval: 0,
                 done: false,
             }),
         );
         machine.run_until_exit(pid).unwrap();
-        assert_eq!(*retval.lock().unwrap(), Errno::Srch.as_retval());
+        let caller: Caller = machine.reap(pid).expect("caller exited");
+        assert_eq!(caller.retval, Errno::Srch.as_retval());
     }
 }

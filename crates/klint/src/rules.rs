@@ -2,8 +2,8 @@
 //!
 //! | Rule | Invariant | Scope |
 //! |------|-----------|-------|
-//! | `D1` | no wall-clock / unseeded RNG (`SystemTime::now`, `Instant::now`, argless `thread_rng()`, `from_entropy()`, `rand::random()`) — simulated time comes from `ksim::time`, randomness from seeded `StdRng` | `pmu`, `ksim`, `memsim`, `kleb`, `workloads`, `fleet`, `ktrace`, `kchan` |
-//! | `D2` | no `unwrap()` / `expect()` in library code — use typed errors | `pmu`, `ksim`, `kleb`, `ktrace`, `kchan`, `fleet` (non-test) |
+//! | `D1` | no wall-clock / unseeded RNG (`SystemTime::now`, `Instant::now`, argless `thread_rng()`, `from_entropy()`, `rand::random()`) — simulated time comes from `ksim::time`, randomness from seeded `StdRng` | `pmu`, `ksim`, `memsim`, `kleb`, `workloads`, `baselines`, `fleet`, `ktrace`, `kchan` |
+//! | `D2` | no `unwrap()` / `expect()` in library code — use typed errors | `pmu`, `ksim`, `kleb`, `workloads`, `baselines`, `ktrace`, `kchan`, `fleet` (non-test) |
 //! | `D3` | no `Ordering::Relaxed` on atomics that gate cross-thread data visibility | `fleet`, `kchan` (allowlists: `fleet/src/metrics.rs` pure counters; `kchan/src/ring.rs`, the documented ordering-protocol module) |
 //! | `M1` | `wrmsr`/`rdmsr` call sites name a `pmu::msr` constant, never a bare integer MSR address | all crates (non-test) |
 //! | `U1` | every `unsafe` block/fn/impl is preceded by a `// SAFETY:` comment (or a `/// # Safety` doc section) justifying it | all crates |
@@ -77,12 +77,29 @@ impl Rule {
             Rule::D1 => matches!(
                 crate_name,
                 Some(
-                    "pmu" | "ksim" | "memsim" | "kleb" | "workloads" | "fleet" | "ktrace" | "kchan"
+                    "pmu"
+                        | "ksim"
+                        | "memsim"
+                        | "kleb"
+                        | "workloads"
+                        | "baselines"
+                        | "fleet"
+                        | "ktrace"
+                        | "kchan"
                 )
             ),
             Rule::D2 => matches!(
                 crate_name,
-                Some("pmu" | "ksim" | "kleb" | "ktrace" | "kchan" | "fleet")
+                Some(
+                    "pmu"
+                        | "ksim"
+                        | "kleb"
+                        | "workloads"
+                        | "baselines"
+                        | "ktrace"
+                        | "kchan"
+                        | "fleet"
+                )
             ),
             Rule::D3 => matches!(crate_name, Some("fleet" | "kchan")),
             Rule::M1 => true,

@@ -12,14 +12,10 @@ use klint::{Rule, ALL_RULES};
 
 /// Crates deliberately outside every determinism rule, with the reason.
 /// (They remain covered by the workspace-wide rules M1/U1/A1.)
-const DETERMINISM_EXEMPT: [(&str, &str); 5] = [
+const DETERMINISM_EXEMPT: [(&str, &str); 4] = [
     (
         "analysis",
         "offline post-processing; panicking on malformed input is acceptable",
-    ),
-    (
-        "baselines",
-        "comparison harness for the paper's baseline tools, not simulation core",
     ),
     (
         "bench",

@@ -113,8 +113,20 @@ mod tests {
     assert_eq!(fired("crates/kleb/src/x.rs", in_test_mod), vec![]);
     let plain = "fn f() { Some(1).unwrap(); }";
     assert_eq!(fired("crates/kleb/tests/x.rs", plain), vec![]);
-    // baselines models tools' own sloppiness; it is not in D2 scope.
-    assert_eq!(fired("crates/baselines/src/x.rs", plain), vec![]);
+    // analysis is offline post-processing; it is not in D2 scope.
+    assert_eq!(fired("crates/analysis/src/x.rs", plain), vec![]);
+}
+
+#[test]
+fn d2_covers_the_simulated_tools_and_workloads() {
+    let plain = "fn f() { Some(1).unwrap(); }";
+    assert_eq!(fired("crates/baselines/src/x.rs", plain), vec![Rule::D2]);
+    assert_eq!(fired("crates/workloads/src/x.rs", plain), vec![Rule::D2]);
+    let wall_clock = "fn f() { let _ = Instant::now(); }";
+    assert_eq!(
+        fired("crates/baselines/src/x.rs", wall_clock),
+        vec![Rule::D1]
+    );
 }
 
 // --- D3: Relaxed ordering in fleet ------------------------------------

@@ -7,6 +7,7 @@
 //! switches, interrupts) charge calibrated cycle costs on the core they run
 //! on, so monitoring overhead *emerges* from the mechanisms a tool exercises.
 
+use std::any::Any;
 use std::collections::VecDeque;
 
 use pmu::{EventCounts, HwEvent, Pmu, PmuError, Privilege};
@@ -433,6 +434,29 @@ impl Machine {
         &self.procs.get(pid).info
     }
 
+    /// Takes back the program of an exited process, like `waitpid`: its
+    /// results live in its own fields.
+    ///
+    /// Returns `None` for an unknown pid, a process still running, a
+    /// program already reaped, or a program that is not a `W` (which then
+    /// stays in place). [`Machine::process`] stays valid after a reap.
+    pub fn reap<W: Workload>(&mut self, pid: Pid) -> Option<W> {
+        if !self.procs.contains(pid) {
+            return None;
+        }
+        let proc = self.procs.get_mut(pid);
+        if !proc.info.is_exited() {
+            return None;
+        }
+        let slot = &mut proc.workload;
+        let program: &dyn Any = slot.as_deref()?;
+        if !program.is::<W>() {
+            return None;
+        }
+        let program: Box<dyn Any> = slot.take()?;
+        program.downcast().ok().map(|w| *w)
+    }
+
     /// The PMU of a core (for inspection in tests and experiments).
     pub fn pmu(&self, core: CoreId) -> &Pmu {
         &self.cores[core.0].pmu
@@ -848,7 +872,6 @@ impl Machine {
             let proc = self.procs.get_mut(pid);
             proc.info.state = ProcessState::Exited;
             proc.info.exited_at = Some(now);
-            proc.workload = None;
         }
         for id in 0..self.devices.len() {
             self.with_device(DeviceId(id), core, |dev, ctx| dev.on_exit(ctx, pid));
@@ -1330,6 +1353,40 @@ mod tests {
         assert_eq!(
             info.true_user_events.get(HwEvent::InstructionsRetired),
             100_000
+        );
+    }
+
+    #[test]
+    fn reap_returns_an_exited_program_exactly_once() {
+        #[derive(Debug)]
+        struct Counter {
+            left: u64,
+            ran: u64,
+        }
+        impl Workload for Counter {
+            fn next(&mut self, _prev: &ItemResult) -> Option<WorkItem> {
+                if self.left == 0 {
+                    return None;
+                }
+                self.left -= 1;
+                self.ran += 1;
+                Some(WorkItem::Block(WorkBlock::compute(1000, 800)))
+            }
+        }
+        let mut m = machine();
+        let pid = m.spawn("c", CoreId(0), Box::new(Counter { left: 5, ran: 0 }));
+        assert!(m.reap::<Counter>(Pid(99)).is_none(), "unknown pid");
+        assert!(m.reap::<Counter>(pid).is_none(), "still running");
+        m.run_until_exit(pid).unwrap();
+        assert!(m.reap::<FixedBlocks>(pid).is_none(), "wrong type");
+        let counter = m.reap::<Counter>(pid).expect("the wrong-type reap kept it");
+        assert_eq!(counter.ran, 5);
+        assert!(m.reap::<Counter>(pid).is_none(), "already reaped");
+        let info = m.process(pid);
+        assert!(info.is_exited());
+        assert_eq!(
+            info.true_user_events.get(HwEvent::InstructionsRetired),
+            5_000
         );
     }
 

@@ -164,7 +164,11 @@ impl ItemResult {
 /// the next item to execute, or `None` when the process exits. The machine
 /// passes the previous item's [`ItemResult`] in, which is how syscall return
 /// values and `rdpmc` readings reach the program.
-pub trait Workload: Send + std::fmt::Debug {
+///
+/// An exited program stays with its process until
+/// [`Machine::reap`](crate::Machine::reap) hands it back by value, so a
+/// program reports its results through its own fields.
+pub trait Workload: std::any::Any + Send + std::fmt::Debug {
     /// Produces the next work item, or `None` to exit the process.
     fn next(&mut self, prev: &ItemResult) -> Option<WorkItem>;
 }

@@ -19,12 +19,12 @@ fn timed_access_reports_hit_miss_latencies() {
     #[derive(Debug, Default)]
     struct Prober {
         phase: u8,
-        latencies: Arc<Mutex<Vec<Vec<u32>>>>,
+        latencies: Vec<Vec<u32>>,
     }
     impl Workload for Prober {
         fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
             if let ItemResult::Latencies(l) = prev {
-                self.latencies.lock().unwrap().push(l.clone());
+                self.latencies.push(l.clone());
             }
             self.phase += 1;
             match self.phase {
@@ -35,18 +35,10 @@ fn timed_access_reports_hit_miss_latencies() {
             }
         }
     }
-    let latencies = Arc::new(Mutex::new(Vec::new()));
     let mut m = machine();
-    let pid = m.spawn(
-        "p",
-        CoreId(0),
-        Box::new(Prober {
-            phase: 0,
-            latencies: latencies.clone(),
-        }),
-    );
+    let pid = m.spawn("p", CoreId(0), Box::new(Prober::default()));
     m.run_until_exit(pid).unwrap();
-    let l = latencies.lock().unwrap();
+    let l = m.reap::<Prober>(pid).expect("prober exited").latencies;
     assert_eq!(l.len(), 2);
     assert!(
         l[0][0] > l[1][0],
@@ -137,13 +129,13 @@ fn run_until_exit_stalls_on_forever_suspended_process() {
 fn resume_of_unknown_pid_returns_esrch() {
     #[derive(Debug)]
     struct BadResume {
-        retval: Arc<Mutex<i64>>,
+        retval: i64,
         done: bool,
     }
     impl Workload for BadResume {
         fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
             if let Some(r) = prev.retval() {
-                *self.retval.lock().unwrap() = r;
+                self.retval = r;
             }
             if self.done {
                 return None;
@@ -152,18 +144,18 @@ fn resume_of_unknown_pid_returns_esrch() {
             Some(WorkItem::Syscall(Syscall::Resume(Pid(99))))
         }
     }
-    let retval = Arc::new(Mutex::new(0));
     let mut m = machine();
     let pid = m.spawn(
         "p",
         CoreId(0),
         Box::new(BadResume {
-            retval: retval.clone(),
+            retval: 0,
             done: false,
         }),
     );
     m.run_until_exit(pid).unwrap();
-    assert_eq!(*retval.lock().unwrap(), -3);
+    let bad: BadResume = m.reap(pid).expect("caller exited");
+    assert_eq!(bad.retval, -3);
 }
 
 /// A device that programs the PMU on *another* core from an ioctl and
@@ -227,13 +219,13 @@ fn cross_core_msr_access_and_kernel_wake() {
     struct Driver {
         dev: ksim::DeviceId,
         phase: u8,
-        counted: Arc<AtomicU64>,
+        counted: u64,
     }
     impl Workload for Driver {
         fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
             if self.phase == 4 {
                 if let Some(v) = prev.retval() {
-                    self.counted.store(v as u64, Ordering::Relaxed);
+                    self.counted = v as u64;
                 }
                 return None;
             }
@@ -259,22 +251,21 @@ fn cross_core_msr_access_and_kernel_wake() {
             }
         }
     }
-    let counted = Arc::new(AtomicU64::new(0));
     let driver = m.spawn(
         "driver",
         CoreId(1),
         Box::new(Driver {
             dev,
             phase: 0,
-            counted: counted.clone(),
+            counted: 0,
         }),
     );
     m.run_until_exit(driver).unwrap();
     assert_eq!(woken.load(Ordering::Relaxed), 1);
+    let counted = m.reap::<Driver>(driver).expect("driver exited").counted;
     assert!(
-        counted.load(Ordering::Relaxed) >= 50_000,
-        "cross-core read saw the worker's instructions: {}",
-        counted.load(Ordering::Relaxed)
+        counted >= 50_000,
+        "cross-core read saw the worker's instructions: {counted}"
     );
 }
 

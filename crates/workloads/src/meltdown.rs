@@ -113,8 +113,9 @@ enum AttackPhase {
 /// recovery rounds that re-extract the secret from cache timing — which is
 /// why the paper observes the attacked program running longer and producing
 /// many more samples (Fig. 7). The recovered bytes are exposed via
-/// [`recovered`](Self::recovered) so tests can verify the attack genuinely
-/// works against the cache model.
+/// [`recovered`](Self::recovered) on the program reaped after exit
+/// ([`ksim::Machine::reap`]), so tests can verify the attack genuinely works
+/// against the cache model.
 #[derive(Debug, Clone)]
 pub struct MeltdownAttack {
     repeats: u64,
@@ -161,52 +162,10 @@ impl MeltdownAttack {
         &self.recovered
     }
 
-    /// Shared handle variant: exposes recovered bytes after the machine ran
-    /// the workload (workloads are moved into the machine).
-    pub fn with_shared_recovery(seed: u64) -> (SharedRecovery, SharedMeltdown) {
-        Self::new(seed).into_shared()
-    }
-
-    /// Wraps this attack so its recovered bytes land in a shared buffer
-    /// when it exits.
-    pub fn into_shared(self) -> (SharedRecovery, SharedMeltdown) {
-        let shared = SharedRecovery::default();
-        (
-            shared.clone(),
-            SharedMeltdown {
-                inner: self,
-                shared,
-            },
-        )
-    }
-
     fn probe_addrs() -> Vec<u64> {
         (0..256u64).map(|v| PROBE_BASE + v * PROBE_STRIDE).collect()
     }
-}
 
-/// Shared recovered-secret buffer.
-pub type SharedRecovery = std::sync::Arc<std::sync::Mutex<Vec<u8>>>;
-
-/// A [`MeltdownAttack`] that mirrors its recovered bytes into a shared
-/// buffer, for inspection after the machine consumed the workload.
-#[derive(Debug)]
-pub struct SharedMeltdown {
-    inner: MeltdownAttack,
-    shared: SharedRecovery,
-}
-
-impl Workload for SharedMeltdown {
-    fn next(&mut self, prev: &ItemResult) -> Option<WorkItem> {
-        let item = self.inner.next(prev);
-        if item.is_none() {
-            *self.shared.lock().unwrap() = self.inner.recovered.clone();
-        }
-        item
-    }
-}
-
-impl MeltdownAttack {
     fn print_block(&mut self) -> WorkItem {
         self.seed = self.seed.wrapping_add(0x9E37_79B9);
         let events = EventCounts::new()
@@ -273,18 +232,13 @@ impl Workload for MeltdownAttack {
                 AttackPhase::Reload { try_n } => {
                     if let ItemResult::Latencies(lat) = prev {
                         debug_assert_eq!(lat.len(), 256);
-                        let (best, &best_lat) = lat
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|&(_, &l)| l)
-                            .expect("256 latencies");
+                        let (best, &best_lat) = lat.iter().enumerate().min_by_key(|&(_, &l)| l)?;
                         let second = lat
                             .iter()
                             .enumerate()
                             .filter(|&(i, _)| i != best)
                             .map(|(_, &l)| l)
-                            .min()
-                            .expect("255 more");
+                            .min()?;
                         if best_lat < second || try_n + 1 >= TRIES_PER_BYTE {
                             self.current.push(best as u8);
                             self.byte_index += 1;
@@ -329,10 +283,10 @@ mod tests {
     #[test]
     fn attack_recovers_the_secret_from_cache_timing() {
         let mut m = Machine::new(MachineConfig::i7_920(1));
-        let (shared, attack) = MeltdownAttack::with_shared_recovery(5);
-        let pid = m.spawn("meltdown", CoreId(0), Box::new(attack));
+        let pid = m.spawn("meltdown", CoreId(0), Box::new(MeltdownAttack::new(5)));
         m.run_until_exit(pid).unwrap();
-        assert_eq!(shared.lock().unwrap().as_slice(), SECRET);
+        let attack: MeltdownAttack = m.reap(pid).expect("attack exited");
+        assert_eq!(attack.recovered(), SECRET);
     }
 
     #[test]

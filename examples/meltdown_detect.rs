@@ -8,20 +8,25 @@
 //! Run with: `cargo run --release --example meltdown_detect`
 
 use kleb::{KlebTuning, Monitor};
-use ksim::{Duration, Machine, MachineConfig, Workload};
+use ksim::{Duration, Machine, MachineConfig, Pid, Workload};
 use pmu::HwEvent;
 use workloads::{MeltdownAttack, SecretPrinter, SECRET};
 
 const MPKI_ALARM: f64 = 15.0;
 
-fn profile(name: &str, workload: Box<dyn Workload>) -> (usize, usize, f64) {
-    let mut machine = Machine::new(MachineConfig::i7_920(11));
+/// Monitors `workload` on `machine`; returns its pid, the sample count,
+/// the samples over the alarm line and the overall MPKI.
+fn profile(
+    machine: &mut Machine,
+    name: &str,
+    workload: Box<dyn Workload>,
+) -> (Pid, usize, usize, f64) {
     let outcome = Monitor::new(
         &[HwEvent::LlcReference, HwEvent::LlcMiss],
         Duration::from_micros(100),
     )
     .tuning(KlebTuning::microarchitectural())
-    .run(&mut machine, name, workload)
+    .run(machine, name, workload)
     .expect("monitored run");
     let mut alarms = 0;
     for s in &outcome.samples {
@@ -33,6 +38,7 @@ fn profile(name: &str, workload: Box<dyn Workload>) -> (usize, usize, f64) {
     let misses: u64 = outcome.samples.iter().map(|s| s.pmc[1]).sum();
     let instr: u64 = outcome.samples.iter().map(|s| s.fixed[0]).sum();
     (
+        outcome.target.pid,
         outcome.samples.len(),
         alarms,
         misses as f64 / (instr as f64 / 1000.0),
@@ -40,22 +46,21 @@ fn profile(name: &str, workload: Box<dyn Workload>) -> (usize, usize, f64) {
 }
 
 fn main() {
-    let (n, alarms, rate) = profile("victim", Box::new(SecretPrinter::paper(1)));
+    let mut machine = Machine::new(MachineConfig::i7_920(11));
+    let (_, n, alarms, rate) = profile(&mut machine, "victim", Box::new(SecretPrinter::paper(1)));
     println!("benign run:   {n} samples, {alarms} over the MPKI-{MPKI_ALARM} alarm line, overall MPKI {rate:.1}");
 
-    let (shared, attack) = MeltdownAttack::paper(2).into_shared();
-    let (n, alarms, rate) = profile("meltdown", Box::new(attack));
+    let mut machine = Machine::new(MachineConfig::i7_920(11));
+    let (pid, n, alarms, rate) =
+        profile(&mut machine, "meltdown", Box::new(MeltdownAttack::paper(2)));
     println!("attacked run: {n} samples, {alarms} over the MPKI-{MPKI_ALARM} alarm line, overall MPKI {rate:.1}");
 
-    let recovered = shared.lock().unwrap();
+    let attack: MeltdownAttack = machine.reap(pid).expect("the attack exited");
+    let recovered = attack.recovered();
     println!(
         "attack recovered the secret from cache timing: {:?} (truth {:?})",
-        String::from_utf8_lossy(&recovered),
+        String::from_utf8_lossy(recovered),
         String::from_utf8_lossy(SECRET)
     );
-    assert_eq!(
-        recovered.as_slice(),
-        SECRET,
-        "the simulated side channel works"
-    );
+    assert_eq!(recovered, SECRET, "the simulated side channel works");
 }

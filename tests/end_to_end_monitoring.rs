@@ -58,16 +58,16 @@ fn kleb_tracks_container_children_end_to_end() {
 #[test]
 fn meltdown_attack_recovers_secret_under_monitoring() {
     let mut m = machine(3);
-    let (shared, attack) = MeltdownAttack::new(3).into_shared();
     let outcome = Monitor::new(
         &[HwEvent::LlcReference, HwEvent::LlcMiss],
         Duration::from_micros(100),
     )
     .tuning(KlebTuning::microarchitectural())
-    .run(&mut m, "meltdown", Box::new(attack))
+    .run(&mut m, "meltdown", Box::new(MeltdownAttack::new(3)))
     .expect("monitored attack");
+    let attack: MeltdownAttack = m.reap(outcome.target.pid).expect("attack exited");
     assert_eq!(
-        shared.lock().unwrap().as_slice(),
+        attack.recovered(),
         SECRET,
         "the Flush+Reload attack must still work while monitored"
     );
