@@ -19,6 +19,11 @@ echo "    report: target/klint-report.json"
 echo "==> api-snapshot gate (public API inventory matches committed api.txt)"
 cargo run -q -p klint --bin apisnap --
 
+echo "==> rustdoc (warnings are errors; compat/ stand-ins excluded, they mirror upstream crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
+    --exclude criterion --exclude jsonlite --exclude proptest \
+    --exclude rand --exclude rand_distr
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

@@ -3,19 +3,17 @@
 //! series, and text rendering of the paper's tables and figures.
 
 pub mod detector;
-pub mod metrics;
+mod metrics;
 pub mod phases;
-pub mod stats;
-pub mod table;
-pub mod timeseries;
-pub mod trace;
+mod stats;
+mod table;
+mod timeseries;
 
 pub use detector::{Detection, EwmaDetector};
 pub use metrics::{
     gflops, mpki, overhead_proxy, performance_loss_percent, sample_coverage, IntensityClass,
 };
 pub use phases::{detect_phases, Phase, PhaseKind};
-pub use stats::{five_number, mad, mean, median, percentile, robust_z, stddev, FiveNumber};
+pub use stats::{five_number, mean, median, percentile, robust_z, stddev, FiveNumber};
 pub use table::TextTable;
-pub use timeseries::{downsample, moving_average, sparkline};
-pub use trace::{TraceSeries, LANE_INSTRUCTIONS};
+pub use timeseries::{downsample, sparkline};

@@ -49,7 +49,7 @@ pub fn median(values: &[f64]) -> f64 {
 }
 
 /// Median absolute deviation from the median; `0.0` for an empty slice.
-pub fn mad(values: &[f64]) -> f64 {
+pub(crate) fn mad(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }

@@ -46,23 +46,6 @@ impl ToolRun {
             .map(|&(_, v)| v)
     }
 
-    /// Relative difference between the tool's reading and the ground truth
-    /// for `event`, as a fraction (0.003 = 0.3%). Ground truth is the
-    /// target's user-mode events (plus kernel-mode when `count_kernel`).
-    ///
-    /// Returns `None` when the event was not requested or the truth is zero.
-    pub fn relative_error(&self, event: HwEvent, count_kernel: bool) -> Option<f64> {
-        let reported = self.total(event)? as f64;
-        let mut truth = self.target.true_user_events.get(event);
-        if count_kernel {
-            truth += self.target.true_kernel_events.get(event);
-        }
-        if truth == 0 {
-            return None;
-        }
-        Some((reported - truth as f64).abs() / truth as f64)
-    }
-
     /// Wall-clock runtime of the monitored process.
     pub fn wall_time(&self) -> Duration {
         self.target.wall_time()

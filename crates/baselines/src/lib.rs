@@ -6,29 +6,33 @@
 //!
 //! | Tool | Mechanism | Paper's critique |
 //! |------|-----------|------------------|
-//! | [`perf_stat`] | user-space interval timer (10 ms floor) + per-switch counter virtualization + read syscalls | high overhead, slow timer |
-//! | [`perf_record`] | PMU-overflow interrupts (PMI) per sample | estimated counts |
-//! | [`papi`] | source instrumentation, syscall per read | needs source, expensive syscalls |
-//! | [`limit`] | kernel patch, user-space `rdpmc` reads | needs a kernel patch/reboot |
+//! | `perf_stat` | user-space interval timer (10 ms floor) + per-switch counter virtualization + read syscalls | high overhead, slow timer |
+//! | `perf_record` | PMU-overflow interrupts (PMI) per sample | estimated counts |
+//! | `papi` | source instrumentation, syscall per read | needs source, expensive syscalls |
+//! | `limit` | kernel patch, user-space `rdpmc` reads | needs a kernel patch/reboot |
 //!
 //! [`run_tool`] dispatches a uniform [`ToolSpec`] so harnesses can sweep all
 //! tools; [`run_unmonitored`] provides the no-profiling baseline.
 
-pub mod common;
-pub mod kleb_tool;
-pub mod limit;
-pub mod papi;
-pub mod perf_kernel;
-pub mod perf_record;
-pub mod perf_stat;
+mod common;
+mod kleb_tool;
+mod limit;
+mod papi;
+mod perf_kernel;
+mod perf_record;
+mod perf_stat;
 
 pub use common::{overhead_percent, ToolRun, ToolSample};
-pub use kleb_tool::run_kleb;
-pub use limit::{run_limit, LimitCosts};
-pub use papi::{run_papi, PapiCosts};
-pub use perf_kernel::{PerfEventKernel, PerfKernelCosts};
-pub use perf_record::{run_perf_record, PerfRecordCosts};
+pub use limit::LimitCosts;
+pub use papi::PapiCosts;
+pub use perf_kernel::PerfKernelCosts;
+pub use perf_record::PerfRecordCosts;
 pub use perf_stat::{run_perf_stat, PerfStatCosts, PERF_MIN_INTERVAL};
+
+use kleb_tool::run_kleb;
+use limit::run_limit;
+use papi::run_papi;
+use perf_record::run_perf_record;
 
 use pmu::HwEvent;
 

@@ -75,7 +75,7 @@ enum Pending {
 /// A workload instrumented with PAPI calls. It keeps its samples, final
 /// counts and error; [`run_papi`] reaps it after exit to read them.
 #[derive(Debug)]
-pub struct PapiInstrumented {
+pub(crate) struct PapiInstrumented {
     inner: Box<dyn Workload>,
     device: DeviceId,
     events: Vec<HwEvent>,
@@ -245,7 +245,7 @@ impl Workload for PapiInstrumented {
 ///
 /// [`ToolError`] if the simulation stalls, `read_every` is zero or PAPI
 /// setup fails.
-pub fn run_papi(
+pub(crate) fn run_papi(
     machine: &mut Machine,
     name: &str,
     workload: Box<dyn Workload>,

@@ -18,11 +18,11 @@ use ksim::{CoreId, Device, Errno, Instant, KernelCtx, Pid, TimerId};
 use crate::common::ToolSample;
 
 /// `ioctl`: open a counting session (payload = JSON [`PerfOpenConfig`]).
-pub const PERF_OPEN: u64 = 0x5001;
+pub(crate) const PERF_OPEN: u64 = 0x5001;
 /// `ioctl`: read accumulated counts (out payload = JSON [`PerfCounts`]).
-pub const PERF_READ: u64 = 0x5002;
+pub(crate) const PERF_READ: u64 = 0x5002;
 /// `ioctl`: close the session.
-pub const PERF_CLOSE: u64 = 0x5003;
+pub(crate) const PERF_CLOSE: u64 = 0x5003;
 
 /// Multiplexing rotation interval (perf's tick), nanoseconds.
 const MUX_ROTATE_NS: u64 = 1_000_000;
@@ -59,7 +59,7 @@ impl Default for PerfKernelCosts {
 
 /// Session configuration crossing the `ioctl` boundary.
 #[derive(Debug, Clone)]
-pub struct PerfOpenConfig {
+pub(crate) struct PerfOpenConfig {
     /// Target pid; `0` means "the calling process" (PAPI-style self-
     /// monitoring).
     pub target: u32,
@@ -74,7 +74,7 @@ pub struct PerfOpenConfig {
 
 /// Counts returned by [`PERF_READ`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PerfCounts {
+pub(crate) struct PerfCounts {
     /// Fixed-counter totals: instructions, core cycles, reference cycles.
     pub fixed: [u64; 3],
     /// Per-requested-event totals, request order. Scaled estimates when
@@ -141,7 +141,7 @@ struct Session {
 
 /// The perf_events kernel module.
 #[derive(Debug)]
-pub struct PerfEventKernel {
+pub(crate) struct PerfEventKernel {
     costs: PerfKernelCosts,
     session: Option<Session>,
 }

@@ -25,14 +25,14 @@ use crate::common::{event_codes, ToolRun, ToolSample};
 use crate::ToolError;
 
 /// `ioctl`: open a sampling session (payload = JSON [`RecordOpenConfig`]).
-pub const RECORD_OPEN: u64 = 0x5101;
+pub(crate) const RECORD_OPEN: u64 = 0x5101;
 /// `ioctl`: drain buffered samples (out payload = JSON [`RecordDrain`]).
-pub const RECORD_DRAIN: u64 = 0x5102;
+pub(crate) const RECORD_DRAIN: u64 = 0x5102;
 /// `ioctl`: close the session.
-pub const RECORD_CLOSE: u64 = 0x5103;
+pub(crate) const RECORD_CLOSE: u64 = 0x5103;
 
 /// Events that fit beside the sampling counter (PMC0 is the cycle counter).
-pub const MAX_RECORD_EVENTS: usize = 3;
+pub(crate) const MAX_RECORD_EVENTS: usize = 3;
 
 /// Cycle costs of the perf-record paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,7 @@ impl PerfRecordCosts {
 
 /// Session configuration.
 #[derive(Debug, Clone)]
-pub struct RecordOpenConfig {
+pub(crate) struct RecordOpenConfig {
     /// Target pid; `0` = caller.
     pub target: u32,
     /// Sampled events as `(event, umask)`, at most [`MAX_RECORD_EVENTS`].
@@ -94,7 +94,7 @@ pub struct RecordOpenConfig {
 
 /// One drained sample on the wire.
 #[derive(Debug, Clone)]
-pub struct WireSample {
+pub(crate) struct WireSample {
     /// Timestamp, nanoseconds.
     pub t: u64,
     /// Per-event deltas.
@@ -105,7 +105,7 @@ pub struct WireSample {
 
 /// Drain response.
 #[derive(Debug, Clone)]
-pub struct RecordDrain {
+pub(crate) struct RecordDrain {
     /// Buffered samples since the last drain.
     pub samples: Vec<WireSample>,
     /// Whether the target is still alive.
@@ -139,7 +139,7 @@ struct Session {
 
 /// The perf-record kernel side.
 #[derive(Debug)]
-pub struct PerfRecordModule {
+pub(crate) struct PerfRecordModule {
     costs: PerfRecordCosts,
     session: Option<Session>,
 }
@@ -475,7 +475,7 @@ impl Workload for PerfRecordProcess {
 /// # Errors
 ///
 /// [`ToolError`] if the simulation stalls or session setup fails.
-pub fn run_perf_record(
+pub(crate) fn run_perf_record(
     machine: &mut Machine,
     name: &str,
     workload: Box<dyn Workload>,

@@ -1,4 +1,4 @@
-//! Data-only exploit detection case study (paper reference [26], Torres &
+//! Data-only exploit detection case study (paper reference \[26\], Torres &
 //! Liu): a Heartbleed over-read changes no control flow, only the data
 //! footprint — visible per-sample in K-LEB's high-frequency series.
 

@@ -20,7 +20,7 @@ pub const EVENTS_DETERMINISTIC: [HwEvent; 3] =
     [HwEvent::BranchRetired, HwEvent::Load, HwEvent::Store];
 
 /// Cache events for the Meltdown case study (paper Figs. 6-7).
-pub const EVENTS_CACHE: [HwEvent; 2] = [HwEvent::LlcReference, HwEvent::LlcMiss];
+pub(crate) const EVENTS_CACHE: [HwEvent; 2] = [HwEvent::LlcReference, HwEvent::LlcMiss];
 
 /// The paper's sampling period for the long-running studies.
 pub const PERIOD_10MS: Duration = Duration::from_millis(10);
@@ -127,7 +127,7 @@ pub struct Fig4Result {
 /// The sampling period for Fig. 4: the paper's 10 ms at full problem size,
 /// scaled down with the cube of the problem size so reduced-scale runs keep
 /// roughly the paper's ~200-sample resolution.
-pub fn fig4_period(scale: &Scale) -> Duration {
+pub(crate) fn fig4_period(scale: &Scale) -> Duration {
     if scale.linpack_n >= 4_500 {
         return PERIOD_10MS;
     }
@@ -137,7 +137,7 @@ pub fn fig4_period(scale: &Scale) -> Duration {
 }
 
 /// Fig. 4: the LINPACK time series as K-LEB records it (10 ms at paper
-/// scale; see [`fig4_period`]).
+/// scale; see `fig4_period`).
 pub fn fig4_linpack_phases(scale: &Scale) -> Fig4Result {
     let period = fig4_period(scale);
     let mut all_series: Vec<Vec<Vec<u64>>> = Vec::new(); // trial -> event -> samples
@@ -372,7 +372,7 @@ pub struct OverheadRow {
 /// Runs the paper's overhead methodology: `trials` paired runs of
 /// `workload_factory(seed)` bare and under each tool in `specs`, all at
 /// `period` (instrumented tools read every `read_every` blocks).
-pub fn overhead_study(
+pub(crate) fn overhead_study(
     workload_factory: &dyn Fn(u64) -> Box<dyn Workload>,
     specs: &[ToolSpec],
     trials: u64,

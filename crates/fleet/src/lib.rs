@@ -6,9 +6,9 @@
 //! threads, each with its own seeded RNG, workload, and K-LEB monitor;
 //! their sample batches stream through one lock-free SPSC ring per
 //! machine ([`ingest`]) with an explicit [`Backpressure`] policy into a
-//! sharded [`FleetStore`], where windowed queries and the [`detect`]
+//! sharded [`FleetStore`], where windowed queries and the `detect`
 //! fan-in pass operate across the fleet. The pipeline observes itself through [`FleetMetrics`], and the
-//! [`governor`] module can hold the whole fleet inside an aggregate
+//! `governor` module can hold the whole fleet inside an aggregate
 //! sampling budget while each machine's AIMD loop rides out its own
 //! pressure bursts.
 //!
@@ -33,29 +33,26 @@
 //! # Ok::<(), fleet::FleetError>(())
 //! ```
 
-pub mod clock;
-pub mod detect;
-pub mod governor;
+mod clock;
+mod detect;
+mod governor;
 pub mod ingest;
 pub(crate) mod ksync;
-pub mod metrics;
-pub mod runner;
-pub mod store;
-pub mod supervisor;
-pub mod watchdog;
+mod metrics;
+mod runner;
+mod store;
+mod supervisor;
+mod watchdog;
 
 pub use clock::{Clock, MonotonicClock, TickClock};
 pub use detect::{scan_fleet, verdict_table, AnomalyConfig, FleetAnomalyReport, MachineVerdict};
 pub use governor::{GovernorPolicy, GovernorReport};
 pub use ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector, RingSender};
-pub use metrics::{FleetMetrics, LatencyHistogram};
+pub use metrics::FleetMetrics;
 pub use runner::{
     FleetConfig, FleetConfigBuilder, FleetError, FleetOutcome, FleetRunner, MachineReport,
     MachineSpec, WorkloadFactory,
 };
 pub use store::{FleetStore, Lane, MachineSnapshot, Point, StoreStats, Window};
-pub use supervisor::{
-    backoff_delay_ns, panic_message, BreakerState, CircuitBreaker, FailureKind, HealthReport,
-    MachineFailure, SupervisedRun, SupervisorPolicy,
-};
-pub use watchdog::{StreamWatchdog, WatchdogEvent, WatchdogReport};
+pub use supervisor::{BreakerState, FailureKind, HealthReport, MachineFailure, SupervisorPolicy};
+pub use watchdog::WatchdogReport;

@@ -30,13 +30,18 @@ use pmu::{EventCounts, HwEvent};
 use crate::clock::{Clock, MonotonicClock};
 use crate::governor::{GovernorPolicy, GovernorReport};
 use crate::ingest::{ring_fanin, Backpressure, ChannelStats, Polled, RingCollector};
-use crate::metrics::FleetMetrics;
+use crate::metrics::{FleetMetrics, LatencyHistogram};
 use crate::store::FleetStore;
 use crate::supervisor::{
     panic_message, supervise_machine, HealthReport, MachineFailure, MachineTask, SupervisedRun,
     SupervisorPolicy,
 };
-use crate::watchdog::{StreamWatchdog, WatchdogEvent, WatchdogReport};
+use crate::watchdog::{StreamWatchdog, WatchdogReport};
+
+/// Per-stream ring capacity, in samples; see [`crate::ingest`].
+const RING_CAPACITY: usize = 64 * 1024;
+/// Per-shard point capacity of the store.
+const SHARD_CAPACITY: usize = 64 * 1024;
 
 // The whole pipeline hinges on machines being buildable and runnable off
 // the spawning thread; keep that a compile-time fact.
@@ -106,7 +111,7 @@ impl std::fmt::Debug for MachineSpec {
 ///
 /// ```ignore
 /// let config = FleetConfig::builder(&events, period)
-///     .ring_capacity(16 * 1024)
+///     .backpressure(Backpressure::DropNewest)
 ///     .persist("/tmp/traces")
 ///     .govern(GovernorPolicy::new().budget(50_000))
 ///     .build();
@@ -123,13 +128,8 @@ pub struct FleetConfig {
     pub period: Duration,
     /// Module cost tuning.
     pub tuning: KlebTuning,
-    /// Per-stream ring capacity, in samples (rounded up to a power of
-    /// two); see [`crate::ingest`].
-    pub ring_capacity: usize,
     /// What a full ring does.
     pub backpressure: Backpressure,
-    /// Per-shard point capacity of the store.
-    pub shard_capacity: usize,
     /// Machine hardware model, built from the spec's seed.
     pub machine_config: fn(u64) -> MachineConfig,
     /// Fault plan injected into every machine (overriding whatever
@@ -150,10 +150,10 @@ pub struct FleetConfig {
     /// drop ledger and the controller's recovery stats. `None` records
     /// nothing.
     pub persist_dir: Option<PathBuf>,
-    /// Restart budget, backoff and circuit-breaker tuning for the
-    /// per-machine supervisor. The default allows 3 restarts; see
-    /// [`crate::supervisor`] for the determinism contract (a clean run
-    /// never touches any of it).
+    /// Backoff and circuit-breaker timing for the per-machine
+    /// supervisor, which allows 3 restarts; see `crate::supervisor`
+    /// for the determinism contract (a clean run never touches any of
+    /// it).
     pub supervision: SupervisorPolicy,
     /// Closed-loop rate governance. `None` (the default) runs every
     /// machine at the fixed configured period, exactly as fleets always
@@ -178,9 +178,7 @@ impl FleetConfig {
             events: events.to_vec(),
             period,
             tuning: KlebTuning::default(),
-            ring_capacity: 64 * 1024,
             backpressure: Backpressure::Block,
-            shard_capacity: 64 * 1024,
             machine_config: MachineConfig::i7_920,
             faults: None,
             stall_timeout: std::time::Duration::from_secs(2),
@@ -224,18 +222,6 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Overrides the per-stream ring capacity (samples).
-    pub fn ring_capacity(mut self, samples: usize) -> Self {
-        self.config.ring_capacity = samples;
-        self
-    }
-
-    /// Overrides the per-shard point capacity.
-    pub fn shard_capacity(mut self, points: usize) -> Self {
-        self.config.shard_capacity = points;
-        self
-    }
-
     /// Overrides the machine hardware model.
     pub fn machine(mut self, factory: fn(u64) -> MachineConfig) -> Self {
         self.config.machine_config = factory;
@@ -267,8 +253,7 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Overrides the supervision policy (restart budget, backoff,
-    /// circuit breaker).
+    /// Overrides the supervision policy (backoff and breaker cooldown).
     pub fn supervise(mut self, policy: SupervisorPolicy) -> Self {
         self.config.supervision = policy;
         self
@@ -365,8 +350,8 @@ pub struct FleetOutcome {
     pub health: Vec<HealthReport>,
     /// Fan-in counters (per-stream sent/dropped/delivered, depth HWM).
     pub channel: ChannelStats,
-    /// The collector's self-metrics.
-    pub metrics: Arc<FleetMetrics>,
+    /// The collector's self-metrics, summed from the reports above.
+    pub metrics: FleetMetrics,
     /// What the stream watchdog saw: per-machine stall/resume episodes
     /// and any machine still quarantined at the end.
     pub watchdog: WatchdogReport,
@@ -576,20 +561,21 @@ impl FleetRunner {
     /// fully drained. Every machine runs under the configured
     /// [`SupervisorPolicy`]: panics are contained, restarts consume the
     /// budget, and a terminal failure degrades the outcome instead of
-    /// discarding it — see [`crate::supervisor`].
+    /// discarding it — see `crate::supervisor`.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Setup`] if pre-flight setup fails;
-    /// [`FleetError::Machines`] only when **no** machine survived (the
-    /// aggregated failure list covers every machine and attempt). Any
-    /// surviving stream yields `Ok` with per-machine [`HealthReport`]s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs` is empty.
+    /// [`FleetError::Setup`] if `specs` is empty or pre-flight setup
+    /// fails; [`FleetError::Machines`] only when **no** machine survived
+    /// (the aggregated failure list covers every machine and attempt).
+    /// Any surviving stream yields `Ok` with per-machine
+    /// [`HealthReport`]s.
     pub fn run(&self, specs: Vec<MachineSpec>) -> Result<FleetOutcome, FleetError> {
-        assert!(!specs.is_empty(), "fleet needs at least one machine");
+        if specs.is_empty() {
+            return Err(FleetError::Setup {
+                error: "fleet needs at least one machine".into(),
+            });
+        }
         let n = specs.len();
         if let Some(dir) = &self.config.persist_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -606,8 +592,7 @@ impl FleetRunner {
             Some(policy) => policy.allocate(self.config.period.as_nanos(), &weights),
             None => vec![self.config.period.as_nanos(); n],
         };
-        let (senders, receiver) =
-            ring_fanin(n, self.config.ring_capacity, self.config.backpressure);
+        let (senders, receiver) = ring_fanin(n, RING_CAPACITY, self.config.backpressure);
         let mut handles = Vec::with_capacity(n);
         // Sender i goes to spec i: stream indices equal spec order.
         for (index, (spec, tx)) in specs.into_iter().zip(senders).enumerate() {
@@ -668,19 +653,20 @@ impl FleetRunner {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Machines`] if every replay thread panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty.
+    /// [`FleetError::Setup`] if `streams` is empty (e.g. a trace
+    /// directory holding no segment); [`FleetError::Machines`] if every
+    /// replay thread panics.
     pub fn replay(&self, streams: Vec<RecoveredStream>) -> Result<FleetOutcome, FleetError> {
-        assert!(!streams.is_empty(), "replay needs at least one stream");
+        if streams.is_empty() {
+            return Err(FleetError::Setup {
+                error: "replay needs at least one stream".into(),
+            });
+        }
         let n = streams.len();
         // The recorded stream metadata carries each machine's allocated
         // base period, so replayed governance rows match the live run's.
         let allocated: Vec<u64> = streams.iter().map(|s| s.meta.period_ns).collect();
-        let (senders, receiver) =
-            ring_fanin(n, self.config.ring_capacity, self.config.backpressure);
+        let (senders, receiver) = ring_fanin(n, RING_CAPACITY, self.config.backpressure);
         let mut handles = Vec::with_capacity(n);
         for (stream, mut tx) in streams.into_iter().zip(senders) {
             let label = stream.meta.label.clone();
@@ -718,8 +704,9 @@ impl FleetRunner {
         handles: Vec<(String, u64, std::thread::JoinHandle<SupervisedRun>)>,
         allocated: Vec<u64>,
     ) -> Result<FleetOutcome, FleetError> {
-        let metrics = Arc::new(FleetMetrics::new());
-        let mut store = FleetStore::new(n, self.config.events.clone(), self.config.shard_capacity);
+        let mut batches = 0u64;
+        let mut drain_latency = LatencyHistogram::default();
+        let mut store = FleetStore::new(n, self.config.events.clone(), SHARD_CAPACITY);
         let clock = &self.config.clock;
         let started_ns = clock.now_ns();
 
@@ -740,32 +727,20 @@ impl FleetRunner {
             match receiver.poll(poll, &mut scratch) {
                 Polled::Batch { machine } => {
                     let t0_ns = clock.now_ns();
-                    let (_, rejected) = store.ingest(machine, &scratch);
+                    store.ingest(machine, &scratch);
                     let t1_ns = clock.now_ns();
-                    metrics.record_batch(scratch.len() as u64, t1_ns.saturating_sub(t0_ns));
-                    if rejected > 0 {
-                        metrics.add_rejected(rejected);
-                    }
-                    if let Some(WatchdogEvent::Resumed { .. }) = watchdog.observe(machine, t1_ns) {
-                        metrics.add_resume();
-                    }
+                    batches += 1;
+                    drain_latency.record(t1_ns.saturating_sub(t0_ns));
+                    watchdog.observe(machine, t1_ns);
                     if scratch.iter().any(|s| s.final_sample) {
                         // The stream's last record is drained: it may go
                         // silent forever without that being a stall.
                         watchdog.mark_done(machine);
                     }
-                    for event in watchdog.scan(t1_ns) {
-                        if let WatchdogEvent::Stalled { .. } = event {
-                            metrics.add_stall();
-                        }
-                    }
+                    watchdog.scan(t1_ns);
                 }
                 Polled::Timeout => {
-                    for event in watchdog.scan(clock.now_ns()) {
-                        if let WatchdogEvent::Stalled { .. } = event {
-                            metrics.add_stall();
-                        }
-                    }
+                    watchdog.scan(clock.now_ns());
                 }
                 Polled::Disconnected => break,
             }
@@ -807,44 +782,37 @@ impl FleetRunner {
             });
         }
 
-        // Supervision counters feed the pipeline's self-metrics.
-        for h in &health {
-            metrics.add_restarts(u64::from(h.restarts));
-            metrics.add_breaker_trips(u64::from(h.breaker_trips));
-            metrics.add_machine_failures(u64::from(h.failure_count));
-            if h.failed {
-                metrics.add_machine_lost();
-            }
-        }
-
-        // Governance rows and counters, one per machine (idle rows when
-        // the fleet ran ungoverned).
+        // Governance rows, one per machine (idle rows when the fleet ran
+        // ungoverned).
         let base_period_ns = self.config.period.as_nanos();
         let mut governors = Vec::with_capacity(n);
         for (report, &allocated_period_ns) in machines.iter().zip(&allocated) {
-            let stats = report.outcome.governor;
-            metrics.add_retunes(u64::from(stats.retunes));
-            metrics.add_retune_clamps(u64::from(stats.clamps));
-            metrics.add_retune_oscillations(u64::from(stats.oscillations));
             governors.push(GovernorReport {
                 label: report.label.clone(),
                 base_period_ns,
                 allocated_period_ns,
-                stats,
+                stats: report.outcome.governor,
             });
         }
 
         let channel = receiver.stats();
-        metrics.add_dropped(channel.total_dropped());
-        metrics.observe_depth_hwm(channel.depth_high_water as u64);
-
+        let watchdog = watchdog.report();
+        let metrics = FleetMetrics::from_reports(
+            batches,
+            drain_latency,
+            &channel,
+            store.stats(),
+            &watchdog,
+            &health,
+            &governors,
+        );
         Ok(FleetOutcome {
             store,
             machines,
             health,
             channel,
             metrics,
-            watchdog: watchdog.report(),
+            watchdog,
             governors,
             elapsed,
         })
@@ -972,7 +940,7 @@ mod tests {
             outcome.metrics.samples_ingested(),
             outcome.channel.total_sent()
         );
-        assert!(outcome.store.fleet_window_sum(Lane::Pmc(1), Window::all()) > 0);
+        assert!(outcome.store.window_sum(0, Lane::Pmc(1), Window::all()) > 0);
     }
 
     #[test]
@@ -1043,7 +1011,6 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.watchdog.total_stalls(), 0);
         assert!(outcome.watchdog.all_recovered());
-        assert_eq!(outcome.metrics.stream_stalls(), 0);
     }
 
     #[test]
@@ -1112,6 +1079,23 @@ mod tests {
     }
 
     #[test]
+    fn empty_specs_and_empty_trace_dirs_are_setup_errors() {
+        let dir = std::env::temp_dir().join(format!("fleet-empty-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let replayer = ktrace::TraceReplayer::load_dir(&dir).unwrap();
+        assert!(replayer.streams.is_empty(), "no segment, no stream");
+        let runner = FleetRunner::new(quick_config().build());
+        let replayed = runner.replay(replayer.streams);
+        assert!(
+            matches!(replayed, Err(FleetError::Setup { .. })),
+            "{replayed:?}"
+        );
+        let run = runner.run(Vec::new());
+        assert!(matches!(run, Err(FleetError::Setup { .. })), "{run:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn persisted_ledger_matches_the_live_outcome() {
         let dir = std::env::temp_dir().join(format!("fleet-persist-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1153,10 +1137,6 @@ mod tests {
         assert_eq!(
             outcome.metrics.samples_ingested(),
             outcome.channel.total_sent()
-        );
-        assert_eq!(
-            outcome.metrics.stream_stalls(),
-            outcome.watchdog.total_stalls()
         );
     }
 }

@@ -10,8 +10,8 @@
 //! Windowed aggregation is incremental, not a scan: each shard keeps a
 //! prefix-sum array parallel to its ring (maintained O(1) per append,
 //! eviction included) and exploits per-shard timestamp monotonicity to
-//! binary-search window bounds, so `window_sum` / `window_rate` /
-//! `window_mpki` are O(log n) in the shard size.
+//! binary-search window bounds, so `window_sum` and `window_mpki` are
+//! O(log n) in the shard size.
 //!
 //! Invariants (property-tested in `tests/store_props.rs`):
 //! - below capacity, every accepted sample is retained in full;
@@ -176,13 +176,8 @@ impl FleetStore {
         &self.events
     }
 
-    /// Per-shard point capacity.
-    pub fn shard_capacity(&self) -> usize {
-        self.shard_capacity
-    }
-
     /// The `Lane::Pmc` lane for `event`, if it was configured.
-    pub fn lane_of(&self, event: HwEvent) -> Option<Lane> {
+    pub(crate) fn lane_of(&self, event: HwEvent) -> Option<Lane> {
         self.events.iter().position(|&e| e == event).map(Lane::Pmc)
     }
 
@@ -262,20 +257,6 @@ impl FleetStore {
         self.shards[self.shard_index(machine, lane)].ring.iter()
     }
 
-    /// Points of one shard restricted to a window, oldest first. The
-    /// bounds come from a binary search, not a scan: the iterator starts
-    /// at the window's first point.
-    pub fn window_points(
-        &self,
-        machine: usize,
-        lane: Lane,
-        window: Window,
-    ) -> impl Iterator<Item = &Point> {
-        let shard = &self.shards[self.shard_index(machine, lane)];
-        let (lo, hi) = shard.bounds(window);
-        shard.ring.range(lo..hi)
-    }
-
     /// Points evicted from one shard since creation.
     pub fn evicted(&self, machine: usize, lane: Lane) -> u64 {
         self.shards[self.shard_index(machine, lane)].evicted
@@ -294,59 +275,16 @@ impl FleetStore {
         shard.range_sum(lo, hi)
     }
 
-    /// Events per second over a window of one shard, from the covered
-    /// points' own time span. Zero with fewer than two points.
-    ///
-    /// O(log n): the span comes from the window's two endpoint points,
-    /// the numerator from the prefix sums — no intermediate collection.
-    pub fn window_rate(&self, machine: usize, lane: Lane, window: Window) -> f64 {
-        let shard = &self.shards[self.shard_index(machine, lane)];
-        let (lo, hi) = shard.bounds(window);
-        if hi - lo < 2 {
-            return 0.0;
-        }
-        let (first, last) = (&shard.ring[lo], &shard.ring[hi - 1]);
-        if last.timestamp_ns <= first.timestamp_ns {
-            return 0.0;
-        }
-        let span_s = (last.timestamp_ns - first.timestamp_ns) as f64 / 1e9;
-        shard.range_sum(lo, hi) as f64 / span_s
-    }
-
-    /// The `p`-th percentile of per-sample deltas in a window of one
-    /// shard (via `analysis::stats`). Zero on an empty window.
-    ///
-    /// Collects the window's deltas once, straight into the `f64` buffer
-    /// the percentile needs — no intermediate `Vec<&Point>`.
-    pub fn window_percentile(&self, machine: usize, lane: Lane, window: Window, p: f64) -> f64 {
-        let deltas: Vec<f64> = self
-            .window_points(machine, lane, window)
-            .map(|pt| pt.delta as f64)
-            .collect();
-        if deltas.is_empty() {
-            0.0
-        } else {
-            analysis::percentile(&deltas, p)
-        }
-    }
-
     /// Misses-per-kilo-instruction over a window: `miss_lane` summed
     /// against the instructions lane.
-    pub fn window_mpki(&self, machine: usize, miss_lane: Lane, window: Window) -> f64 {
+    pub(crate) fn window_mpki(&self, machine: usize, miss_lane: Lane, window: Window) -> f64 {
         let misses = self.window_sum(machine, miss_lane, window);
         let instructions = self.window_sum(machine, Lane::INSTRUCTIONS, window);
         analysis::mpki(misses, instructions)
     }
 
-    /// Sum of a lane's deltas in a window across every machine.
-    pub fn fleet_window_sum(&self, lane: Lane, window: Window) -> u64 {
-        (0..self.machines)
-            .map(|m| self.window_sum(m, lane, window))
-            .sum()
-    }
-
     /// Retained points in one shard.
-    pub fn lane_len(&self, machine: usize, lane: Lane) -> usize {
+    pub(crate) fn lane_len(&self, machine: usize, lane: Lane) -> usize {
         self.shards[self.shard_index(machine, lane)].ring.len()
     }
 
@@ -354,15 +292,14 @@ impl FleetStore {
     /// fan-in detector's input. Pairs `miss_lane` with the instructions
     /// lane point-by-point (both lanes retain the same timestamps).
     /// Lazy: feeds a detector scan without materializing the series.
-    pub fn mpki_iter(&self, machine: usize, miss_lane: Lane) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn mpki_iter(
+        &self,
+        machine: usize,
+        miss_lane: Lane,
+    ) -> impl Iterator<Item = f64> + '_ {
         self.points(machine, miss_lane)
             .zip(self.points(machine, Lane::INSTRUCTIONS))
             .map(|(miss, instr)| analysis::mpki(miss.delta, instr.delta))
-    }
-
-    /// [`FleetStore::mpki_iter`], collected.
-    pub fn mpki_series(&self, machine: usize, miss_lane: Lane) -> Vec<f64> {
-        self.mpki_iter(machine, miss_lane).collect()
     }
 
     /// Every retained point of one machine, lane-major — bit-exact
@@ -449,21 +386,7 @@ mod tests {
         };
         assert_eq!(s.window_sum(0, Lane::Pmc(1), w), 3, "end is exclusive");
         assert_eq!(s.window_mpki(0, Lane::Pmc(1), w), 3.0 / (20.0 / 1000.0));
-        assert!(s.window_rate(0, Lane::INSTRUCTIONS, Window::all()) > 0.0);
-        assert_eq!(s.fleet_window_sum(Lane::Pmc(1), Window::all()), 7);
-    }
-
-    #[test]
-    fn percentile_of_deltas() {
-        let mut s = FleetStore::new(1, vec![HwEvent::LlcReference, HwEvent::LlcMiss], 16);
-        let batch: Vec<Sample> = (1..=9).map(|i| sample(i * 100, 1, i)).collect();
-        s.ingest(0, &batch);
-        let p50 = s.window_percentile(0, Lane::Pmc(1), Window::all(), 50.0);
-        assert_eq!(p50, 5.0);
-        assert_eq!(
-            s.window_percentile(0, Lane::Pmc(1), Window::all(), 100.0),
-            9.0
-        );
+        assert_eq!(s.window_sum(0, Lane::Pmc(1), Window::all()), 7);
     }
 
     #[test]
@@ -511,28 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn window_rate_matches_endpoint_arithmetic() {
-        let mut s = store();
-        s.ingest(
-            0,
-            &[
-                sample(0, 10, 0),
-                sample(1_000_000_000, 30, 0),
-                sample(2_000_000_000, 60, 0),
-            ],
-        );
-        // 100 events over a 2-second span.
-        let rate = s.window_rate(0, Lane::INSTRUCTIONS, Window::all());
-        assert_eq!(rate, 50.0);
-        // A one-point window has no span.
-        let w = Window {
-            start_ns: 0,
-            end_ns: 1,
-        };
-        assert_eq!(s.window_rate(0, Lane::INSTRUCTIONS, w), 0.0);
-    }
-
-    #[test]
     fn lane_len_counts_retained_points() {
         let mut s = FleetStore::new(1, vec![], 4);
         assert_eq!(s.lane_len(0, Lane::INSTRUCTIONS), 0);
@@ -542,9 +443,10 @@ mod tests {
     }
 
     #[test]
-    fn mpki_series_pairs_lanes() {
+    fn mpki_iter_pairs_lanes() {
         let mut s = store();
         s.ingest(0, &[sample(100, 1000, 5), sample(200, 2000, 4)]);
-        assert_eq!(s.mpki_series(0, Lane::Pmc(1)), vec![5.0, 2.0]);
+        let series: Vec<f64> = s.mpki_iter(0, Lane::Pmc(1)).collect();
+        assert_eq!(series, vec![5.0, 2.0]);
     }
 }

@@ -11,7 +11,7 @@
 //!   its message ([`panic_message`]) and recorded as a typed
 //!   [`MachineFailure`] instead of being dropped on the floor.
 //! - **Restart** — a panicked machine is rebuilt and re-run under a
-//!   bounded budget ([`SupervisorPolicy::max_restarts`]) with seeded
+//!   bounded budget ([`MAX_RESTARTS`]) with seeded
 //!   exponential backoff + jitter ([`backoff_delay_ns`] — a pure
 //!   function of `(policy, seed, attempt)`, no wall-clock reads, no
 //!   global RNG). The retry's fault RNG is salted by attempt number
@@ -53,20 +53,21 @@ use crate::clock::Clock;
 use crate::ingest::RingSender;
 use crate::runner::{outline_report, MachineReport, WorkloadFactory};
 
-/// Restart and circuit-breaker tuning for one fleet.
+/// Restarts a machine may consume before it is declared failed.
+const MAX_RESTARTS: u32 = 3;
+/// Consecutive failures that trip a machine's breaker open.
+const BREAKER_THRESHOLD: u32 = 2;
+
+/// Backoff and circuit-breaker timing for one fleet. The restart budget
+/// (`MAX_RESTARTS`) and the breaker threshold (`BREAKER_THRESHOLD`)
+/// are fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
-    /// Restarts a machine may consume before it is declared failed.
-    /// Zero disables restarting: the first panic is terminal (but still
-    /// contained and typed).
-    pub max_restarts: u32,
     /// Backoff before restart attempt 1, nanoseconds. Doubles per
     /// attempt up to [`SupervisorPolicy::backoff_cap_ns`].
     pub backoff_base_ns: u64,
     /// Upper bound on any single backoff delay, jitter included.
     pub backoff_cap_ns: u64,
-    /// Consecutive failures that trip the breaker open.
-    pub breaker_threshold: u32,
     /// How long a tripped breaker stays open before admitting one
     /// half-open probe, nanoseconds.
     pub breaker_cooldown_ns: u64,
@@ -75,30 +76,14 @@ pub struct SupervisorPolicy {
 impl Default for SupervisorPolicy {
     fn default() -> Self {
         Self {
-            max_restarts: 3,
-            backoff_base_ns: 1_000_000, // 1 ms
-            backoff_cap_ns: 20_000_000, // 20 ms
-            breaker_threshold: 2,
+            backoff_base_ns: 1_000_000,      // 1 ms
+            backoff_cap_ns: 20_000_000,      // 20 ms
             breaker_cooldown_ns: 20_000_000, // 20 ms
         }
     }
 }
 
 impl SupervisorPolicy {
-    /// No restarts at all: panics are contained and typed, never retried.
-    pub fn no_restarts() -> Self {
-        Self {
-            max_restarts: 0,
-            ..Self::default()
-        }
-    }
-
-    /// Overrides the restart budget.
-    pub fn max_restarts(mut self, restarts: u32) -> Self {
-        self.max_restarts = restarts;
-        self
-    }
-
     /// Overrides the backoff base delay (doubles per attempt).
     pub fn backoff_base_ns(mut self, ns: u64) -> Self {
         self.backoff_base_ns = ns;
@@ -108,12 +93,6 @@ impl SupervisorPolicy {
     /// Overrides the backoff cap.
     pub fn backoff_cap_ns(mut self, ns: u64) -> Self {
         self.backoff_cap_ns = ns;
-        self
-    }
-
-    /// Overrides the breaker's consecutive-failure threshold.
-    pub fn breaker_threshold(mut self, failures: u32) -> Self {
-        self.breaker_threshold = failures.max(1);
         self
     }
 
@@ -148,7 +127,7 @@ impl BreakerState {
     }
 
     /// Inverse of [`BreakerState::tag`]; unknown tags decode `Closed`.
-    pub fn from_tag(tag: u8) -> Self {
+    pub(crate) fn from_tag(tag: u8) -> Self {
         match tag {
             1 => BreakerState::Open,
             2 => BreakerState::HalfOpen,
@@ -166,7 +145,7 @@ impl BreakerState {
 /// mold: it never reads a clock, so every transition is unit-testable
 /// with synthetic timestamps (klint rule D1).
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     state: BreakerState,
     threshold: u32,
     cooldown_ns: u64,
@@ -210,7 +189,7 @@ impl CircuitBreaker {
 
     /// The admitted request succeeded: reset the failure streak and
     /// close the breaker (a half-open probe success heals it).
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         self.consecutive_failures = 0;
         self.state = BreakerState::Closed;
     }
@@ -218,7 +197,7 @@ impl CircuitBreaker {
     /// The admitted request failed at `now_ns`. A half-open probe
     /// failure re-trips immediately; a closed breaker trips once the
     /// streak reaches the threshold.
-    pub fn record_failure(&mut self, now_ns: u64) {
+    pub(crate) fn record_failure(&mut self, now_ns: u64) {
         self.consecutive_failures += 1;
         let trip = match self.state {
             BreakerState::HalfOpen => true,
@@ -299,7 +278,7 @@ impl std::fmt::Display for MachineFailure {
 /// else (a `panic_any` with an exotic type) is reported as opaque rather
 /// than discarded along with the whole report — which is exactly what
 /// the old `"machine thread panicked"` string used to do.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -352,7 +331,7 @@ impl HealthReport {
     }
 
     /// Packs the digest-relevant health fields for the persisted ledger.
-    pub fn to_stream_health(&self) -> StreamHealth {
+    pub(crate) fn to_stream_health(&self) -> StreamHealth {
         StreamHealth {
             restarts: self.restarts,
             failures: self.failure_count,
@@ -365,7 +344,7 @@ impl HealthReport {
     /// Rebuilds the report from a replayed ledger. Failure messages are
     /// not persisted, so `failures` comes back empty — by design, the
     /// digest covers only the counts.
-    pub fn from_stream_health(health: StreamHealth) -> Self {
+    pub(crate) fn from_stream_health(health: StreamHealth) -> Self {
         Self {
             restarts: health.restarts,
             failure_count: health.failures,
@@ -391,7 +370,7 @@ impl HealthReport {
 /// the attempt number, capped, with splitmix64 jitter derived from
 /// `(seed, attempt)` — so a thundering herd of machines sharing a fault
 /// de-synchronises without any global RNG or wall-clock input.
-pub fn backoff_delay_ns(policy: &SupervisorPolicy, seed: u64, attempt: u32) -> u64 {
+pub(crate) fn backoff_delay_ns(policy: &SupervisorPolicy, seed: u64, attempt: u32) -> u64 {
     debug_assert!(attempt >= 1, "attempt 0 is the original run");
     let doublings = attempt.saturating_sub(1).min(20);
     let base = policy
@@ -479,7 +458,7 @@ impl SampleSink for SupervisorSink {
 /// collector) plus its health. Infallible by construction — failure is
 /// data, not an early return.
 #[derive(Debug)]
-pub struct SupervisedRun {
+pub(crate) struct SupervisedRun {
     /// The machine's report, in the shape [`crate::FleetRunner::run`]
     /// has always produced.
     pub report: MachineReport,
@@ -555,7 +534,7 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
         governed_period_ns: None,
     }));
 
-    let mut breaker = CircuitBreaker::new(policy.breaker_threshold, policy.breaker_cooldown_ns);
+    let mut breaker = CircuitBreaker::new(BREAKER_THRESHOLD, policy.breaker_cooldown_ns);
     let mut restarts = 0u32;
     let mut attempt = 0u32;
     let mut outcome: Option<MonitorOutcome> = None;
@@ -619,7 +598,7 @@ pub(crate) fn supervise_machine(task: MachineTask) -> SupervisedRun {
                     message: panic_message(payload),
                 });
                 breaker.record_failure(clock.now_ns());
-                if restarts >= policy.max_restarts {
+                if restarts >= MAX_RESTARTS {
                     break;
                 }
                 restarts += 1;

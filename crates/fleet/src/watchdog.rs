@@ -18,7 +18,7 @@
 
 /// A liveness transition the watchdog detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchdogEvent {
+pub(crate) enum WatchdogEvent {
     /// A stream exceeded the stall timeout and was quarantined.
     Stalled {
         /// The silent stream's index.
@@ -50,7 +50,7 @@ struct StreamState {
 
 /// Watches N sample streams for stalls. See the module docs.
 #[derive(Debug, Clone)]
-pub struct StreamWatchdog {
+pub(crate) struct StreamWatchdog {
     stall_timeout_ns: u64,
     streams: Vec<StreamState>,
 }
@@ -97,7 +97,7 @@ impl StreamWatchdog {
 
     /// Marks `stream` finished (its final sample was drained): it is
     /// exempt from all future stall alarms.
-    pub fn mark_done(&mut self, stream: usize) {
+    pub(crate) fn mark_done(&mut self, stream: usize) {
         self.streams[stream].done = true;
     }
 
@@ -162,12 +162,12 @@ pub struct WatchdogReport {
 
 impl WatchdogReport {
     /// Total stall episodes across the fleet.
-    pub fn total_stalls(&self) -> u64 {
+    pub(crate) fn total_stalls(&self) -> u64 {
         self.stalls.iter().sum()
     }
 
     /// Total resumes across the fleet.
-    pub fn total_resumes(&self) -> u64 {
+    pub(crate) fn total_resumes(&self) -> u64 {
         self.resumes.iter().sum()
     }
 

@@ -10,7 +10,7 @@
 //! syscall) per batch; this crate replaces it with one wait-free ring per
 //! stream.
 //!
-//! Design (see [`ring`] for the memory-ordering argument):
+//! Design (see [`ring`](mod@ring) for the memory-ordering argument):
 //!
 //! - **SPSC by construction.** [`ring`](ring()) returns a [`Producer`] /
 //!   [`Consumer`] pair; neither is clonable, so the one-writer/one-reader

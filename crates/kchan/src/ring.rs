@@ -60,8 +60,8 @@
 //! # The `#[cfg(kloom)]` facade pattern
 //!
 //! This module never names `std::sync::atomic` or `UnsafeCell` directly;
-//! it imports `AtomicUsize`/`AtomicBool`/`AtomicU64` and the [`Slot`]
-//! cell from [`crate::sync`]. In normal builds those are exactly the std
+//! it imports `AtomicUsize`/`AtomicBool`/`AtomicU64` and the `Slot`
+//! cell from `crate::sync`. In normal builds those are exactly the std
 //! types (a zero-cost re-export — this hot path compiles to the same
 //! code as before the facade). Under `RUSTFLAGS="--cfg kloom"` they are
 //! `kloom`'s instrumented shadows, and `kchan/tests/kloom_ring.rs` runs
@@ -158,7 +158,7 @@ impl<T: Copy + Send> Producer<T> {
     }
 
     /// Free slots, refreshing the cached consumer index.
-    pub fn free(&mut self) -> usize {
+    pub(crate) fn free(&mut self) -> usize {
         // Ordering rule 4: acquire the head before treating its slots as
         // writable.
         self.cached_head = self

@@ -137,7 +137,7 @@ impl Monitor {
     }
 
     /// Attaches a closed-loop sampling-rate governor: every status poll is
-    /// folded into the AIMD law described in [`crate::governor`], and the
+    /// folded into the AIMD law described in `crate::governor`, and the
     /// period is retuned live through the acked `SET_PERIOD` path. The
     /// policy's base period should match (or floor at) the configured
     /// period; pass `RatePolicy::new(period.as_nanos())` for the default
@@ -293,7 +293,7 @@ impl Monitor {
         }
         if let Some(policy) = self.governor {
             controller_workload = controller_workload
-                .with_governor(RateGovernor::resumed(policy, start_period.as_nanos()));
+                .with_governor(RateGovernor::new(policy, start_period.as_nanos()));
         }
         let controller = machine.spawn(
             "kleb-ctl",
@@ -324,70 +324,6 @@ impl Monitor {
             governor: report.governor,
         })
     }
-}
-
-/// Outcome of a sequential multi-run profile (see [`monitor_sequential`]).
-#[derive(Debug, Clone)]
-pub struct SequentialOutcome {
-    /// Merged totals for every requested event, request order.
-    pub event_totals: Vec<(HwEvent, u64)>,
-    /// The individual runs, one per event group.
-    pub runs: Vec<MonitorOutcome>,
-}
-
-impl SequentialOutcome {
-    /// Merged total for one event.
-    pub fn total(&self, event: HwEvent) -> Option<u64> {
-        self.event_totals
-            .iter()
-            .find(|(e, _)| *e == event)
-            .map(|&(_, v)| v)
-    }
-}
-
-/// Profiles more events than the four programmable counters by running the
-/// workload once per group of four — the paper's §VI remedy for the
-/// counter-register limit ("normally this is solved by using sequential
-/// runs for profiling"), which preserves precision where perf's
-/// multiplexing would estimate.
-///
-/// `workload_factory(run_index)` must produce equivalent workloads for the
-/// totals to be meaningful; `machine_factory` provides a fresh machine per
-/// run.
-///
-/// # Errors
-///
-/// Propagates the first failing run's [`MonitorError`].
-///
-/// # Panics
-///
-/// Panics if `events` is empty.
-pub fn monitor_sequential(
-    monitor: &Monitor,
-    events: &[HwEvent],
-    name: &str,
-    mut machine_factory: impl FnMut(usize) -> Machine,
-    mut workload_factory: impl FnMut(usize) -> Box<dyn Workload>,
-) -> Result<SequentialOutcome, MonitorError> {
-    assert!(!events.is_empty(), "need at least one event");
-    let mut runs = Vec::new();
-    let mut event_totals = Vec::with_capacity(events.len());
-    for (run_index, group) in events.chunks(pmu::NUM_PROGRAMMABLE).enumerate() {
-        let mut m = machine_factory(run_index);
-        let outcome = Monitor {
-            events: group.to_vec(),
-            ..monitor.clone()
-        }
-        .run(&mut m, name, workload_factory(run_index))?;
-        for &event in group {
-            let total = outcome.total_event(event).ok_or_else(|| {
-                MonitorError::Controller(format!("configured event {event} missing from outcome"))
-            })?;
-            event_totals.push((event, total));
-        }
-        runs.push(outcome);
-    }
-    Ok(SequentialOutcome { event_totals, runs })
 }
 
 #[cfg(test)]
@@ -519,46 +455,6 @@ mod tests {
             fast.samples.len(),
             slow.samples.len()
         );
-    }
-
-    #[test]
-    fn sequential_runs_profile_more_events_than_counters() {
-        // Six events on four counters, exactly, via two runs.
-        let events = [
-            HwEvent::Load,
-            HwEvent::Store,
-            HwEvent::BranchRetired,
-            HwEvent::BranchMiss,
-            HwEvent::LlcReference,
-            HwEvent::LlcMiss,
-        ];
-        let base = Monitor::new(&[HwEvent::Load], Duration::from_micros(500))
-            .tuning(KlebTuning::microarchitectural());
-        let outcome = monitor_sequential(
-            &base,
-            &events,
-            "w",
-            |run| Machine::new(MachineConfig::test_tiny(100 + run as u64)),
-            |_run| {
-                Box::new(FixedBlocks::new(
-                    2_000,
-                    WorkBlock::compute(1_000, 2_670).with_events(
-                        pmu::EventCounts::new()
-                            .with(HwEvent::Load, 250)
-                            .with(HwEvent::Store, 125)
-                            .with(HwEvent::BranchRetired, 200)
-                            .with(HwEvent::BranchMiss, 4),
-                    ),
-                ))
-            },
-        )
-        .unwrap();
-        assert_eq!(outcome.runs.len(), 2);
-        assert_eq!(outcome.total(HwEvent::Load), Some(2_000 * 250));
-        assert_eq!(outcome.total(HwEvent::Store), Some(2_000 * 125));
-        assert_eq!(outcome.total(HwEvent::BranchMiss), Some(2_000 * 4));
-        assert_eq!(outcome.total(HwEvent::LlcMiss), Some(0));
-        assert_eq!(outcome.total(HwEvent::ArithMul), None, "not requested");
     }
 
     #[test]

@@ -10,33 +10,29 @@ use pmu::HwEvent;
 use ksim::{Duration, Pid};
 
 /// `ioctl` request: configure monitoring (payload = JSON [`MonitorConfig`]).
-pub const IOCTL_CONFIG: u64 = 0x4B01;
+pub(crate) const IOCTL_CONFIG: u64 = 0x4B01;
 /// `ioctl` request: start monitoring the configured target.
-pub const IOCTL_START: u64 = 0x4B02;
+pub(crate) const IOCTL_START: u64 = 0x4B02;
 /// `ioctl` request: stop monitoring and release kernel resources.
-pub const IOCTL_STOP: u64 = 0x4B03;
+pub(crate) const IOCTL_STOP: u64 = 0x4B03;
 /// `ioctl` request: query module status (out payload = JSON [`ModuleStatus`]).
-pub const IOCTL_STATUS: u64 = 0x4B04;
+pub(crate) const IOCTL_STATUS: u64 = 0x4B04;
 /// `ioctl` request: kick a stalled sampling timer. If the module is
 /// running/active and its periodic deadline has sailed past without the
 /// expiry ever firing (a lost hrtimer interrupt — see
 /// [`ksim::FaultClass::TimerMiss`]), the timer is re-armed from now.
 /// Returns 1 if a stall was repaired, 0 if there was nothing to do.
-pub const IOCTL_KICK: u64 = 0x4B05;
+pub(crate) const IOCTL_KICK: u64 = 0x4B05;
 /// `ioctl` request: change the sampling period of a configured monitor
 /// (payload = little-endian `u64` nanoseconds; takes effect at the next
 /// re-arm). This is the controller's degraded-mode lever: when drops
 /// exceed its threshold it doubles the period to shed pressure rather
 /// than losing samples silently.
-pub const IOCTL_SET_PERIOD: u64 = 0x4B06;
-
-/// The fastest period the paper recommends (§III): below 100 µs, timer
-/// jitter becomes a significant fraction of the period.
-pub const MIN_RECOMMENDED_PERIOD: Duration = Duration::from_micros(100);
+pub(crate) const IOCTL_SET_PERIOD: u64 = 0x4B06;
 
 /// Errors produced when validating a [`MonitorConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
+pub(crate) enum ConfigError {
     /// More events requested than programmable counters exist.
     TooManyEvents {
         /// Number requested.
@@ -156,7 +152,7 @@ impl MonitorConfig {
     /// # Errors
     ///
     /// See [`ConfigError`].
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.events.len() > pmu::NUM_PROGRAMMABLE {
             return Err(ConfigError::TooManyEvents {
                 requested: self.events.len(),
@@ -196,7 +192,7 @@ impl MonitorConfig {
     }
 }
 
-/// Status snapshot returned by [`IOCTL_STATUS`].
+/// Status snapshot returned by `IOCTL_STATUS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ModuleStatus {
     /// Whether the target (or any tracked process) is still alive.
@@ -217,7 +213,7 @@ pub struct ModuleStatus {
     /// Whether collection is currently paused by the safety mechanism.
     pub paused: bool,
     /// The sampling period currently in effect, nanoseconds (changes when
-    /// the controller degrades via [`IOCTL_SET_PERIOD`]). Zero when no
+    /// the controller degrades via `IOCTL_SET_PERIOD`). Zero when no
     /// monitor is configured.
     pub period_ns: u64,
 }

@@ -21,7 +21,7 @@ use crate::governor::{GovernorStats, PressureSample, RateDecision, RateGovernor}
 use crate::sample::{Sample, RECORD_BYTES};
 
 /// Receives every drained sample batch as it leaves the kernel buffer,
-/// before it lands in the [`ControllerReport`].
+/// before it lands in the `ControllerReport`.
 ///
 /// This is the streaming hook fleet-scale consumers attach to: a sink sees
 /// batches in drain order, exactly once, on the thread driving the
@@ -69,7 +69,7 @@ pub struct RecoveryStats {
 ///
 /// [`Monitor`]: crate::Monitor
 #[derive(Debug, Default)]
-pub struct ControllerReport {
+pub(crate) struct ControllerReport {
     /// All decoded samples, in time order.
     pub samples: Vec<Sample>,
     /// The final module status after STOP.
@@ -124,7 +124,7 @@ enum Phase {
 /// The controller workload.
 ///
 /// Drive it with [`ksim::Machine::spawn`] on a different core than the
-/// target; its [`ControllerReport`] stays with it until it is reaped with
+/// target; its `ControllerReport` stays with it until it is reaped with
 /// [`ksim::Machine::reap`] after it exits.
 #[derive(Debug)]
 pub struct Controller {
@@ -209,20 +209,20 @@ impl Controller {
     /// period control from the legacy degraded-mode doubling: every status
     /// poll is folded into its AIMD law, and retunes flow through the
     /// acked `SET_PERIOD` form.
-    pub fn with_governor(mut self, governor: RateGovernor) -> Self {
+    pub(crate) fn with_governor(mut self, governor: RateGovernor) -> Self {
         self.governor = Some(governor);
         self
     }
 
     /// Streams every drained batch into `sink` (in addition to the report).
-    pub fn with_sink(mut self, sink: Box<dyn SampleSink>) -> Self {
+    pub(crate) fn with_sink(mut self, sink: Box<dyn SampleSink>) -> Self {
         self.sink = Some(sink);
         self
     }
 
     /// Disables the wake-up step (for targets that are already running,
     /// i.e. attaching to a live process as §III describes).
-    pub fn attach_running(mut self) -> Self {
+    pub(crate) fn attach_running(mut self) -> Self {
         self.resume_target = false;
         self
     }
@@ -231,7 +231,7 @@ impl Controller {
     /// `seq_base` added to its sequence number and `ts_base_ns` to its
     /// timestamp, and the first sample is flagged as following a gap. Used
     /// by supervisors re-entering a monitor after the previous incarnation
-    /// crashed (see the [`ResumeBase`] doc for why ledgers stay closed).
+    /// crashed (see the `ResumeBase` doc for why ledgers stay closed).
     pub fn resume_from(mut self, seq_base: u64, ts_base_ns: u64) -> Self {
         self.resume_base = Some(ResumeBase {
             seq: seq_base,
@@ -244,7 +244,7 @@ impl Controller {
     /// A sensible drain interval for a sampling period: every ~64 periods,
     /// clamped to [1 ms, 50 ms] — frequent enough that an 8192-record buffer
     /// never starves at 100 µs sampling.
-    pub fn default_drain_interval(period: Duration) -> Duration {
+    pub(crate) fn default_drain_interval(period: Duration) -> Duration {
         let raw = period * 64;
         let min = Duration::from_millis(1);
         let max = Duration::from_millis(50);

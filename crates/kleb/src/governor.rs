@@ -20,6 +20,9 @@
 //! with the retune flag, so the schedule is recorded in the stream itself
 //! and survives record→replay.
 
+/// Multiplicative-increase factor applied to the period on pressure.
+const INCREASE_FACTOR: u64 = 2;
+
 /// Tuning for one machine's AIMD rate controller.
 ///
 /// `base_period_ns` is the floor: the governor never samples *faster*
@@ -38,17 +41,14 @@ pub struct RatePolicy {
     /// Ring occupancy that counts as pressure, as a percentage of
     /// capacity (e.g. 75 ⇒ pressured at ≥ 3/4 full).
     pub depth_threshold_pct: u32,
-    /// Multiplicative-increase factor applied to the period on pressure.
-    pub increase_factor: u32,
-    /// Additive decrease per calm poll once hysteresis is satisfied.
-    pub decrease_step_ns: u64,
     /// Consecutive calm polls required before the period is decreased.
     pub hysteresis: u32,
 }
 
 impl RatePolicy {
     /// A policy anchored at `base_period_ns` with the default shape:
-    /// 16× max backoff, ×2 increase, base/4 decrease steps, pressure on
+    /// 16× max backoff, ×`INCREASE_FACTOR` increase, base/4 decrease
+    /// steps, pressure on
     /// any drop or a 3/4-full ring, 3 calm polls of hysteresis.
     pub fn new(base_period_ns: u64) -> Self {
         Self {
@@ -56,8 +56,6 @@ impl RatePolicy {
             max_period_ns: base_period_ns.saturating_mul(16),
             drop_threshold: 0,
             depth_threshold_pct: 75,
-            increase_factor: 2,
-            decrease_step_ns: (base_period_ns / 4).max(1),
             hysteresis: 3,
         }
     }
@@ -80,29 +78,23 @@ impl RatePolicy {
         self
     }
 
-    /// Sets the multiplicative-increase factor.
-    pub fn increase_factor(mut self, factor: u32) -> Self {
-        self.increase_factor = factor.max(2);
-        self
-    }
-
-    /// Sets the additive-decrease step.
-    pub fn decrease_step(mut self, step_ns: u64) -> Self {
-        self.decrease_step_ns = step_ns.max(1);
-        self
-    }
-
     /// Sets the calm-poll hysteresis.
     pub fn hysteresis(mut self, polls: u32) -> Self {
         self.hysteresis = polls.max(1);
         self
+    }
+
+    /// Additive decrease per calm poll once hysteresis is satisfied: a
+    /// quarter of the base period.
+    fn decrease_step_ns(&self) -> u64 {
+        (self.base_period_ns / 4).max(1)
     }
 }
 
 /// Counter deltas and ring state observed at one status poll, the
 /// governor's only input signal.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PressureSample {
+pub(crate) struct PressureSample {
     /// Samples dropped since the previous poll.
     pub drop_delta: u64,
     /// Buffer-full pauses entered since the previous poll.
@@ -125,7 +117,7 @@ impl PressureSample {
 
 /// What the controller should do after a poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RateDecision {
+pub(crate) enum RateDecision {
     /// Keep the current period.
     Hold,
     /// Issue an acked `SET_PERIOD` for `period_ns`, tagged `seq`.
@@ -164,7 +156,7 @@ impl GovernorStats {
 /// The AIMD state machine. One instance per governed machine, stepped at
 /// every controller status poll.
 #[derive(Debug, Clone)]
-pub struct RateGovernor {
+pub(crate) struct RateGovernor {
     policy: RatePolicy,
     /// The period currently in effect on the module.
     period_ns: u64,
@@ -178,16 +170,12 @@ pub struct RateGovernor {
 }
 
 impl RateGovernor {
-    /// A governor starting at the policy's base period.
-    pub fn new(policy: RatePolicy) -> Self {
-        let period_ns = policy.base_period_ns;
-        Self::resumed(policy, period_ns)
-    }
-
-    /// A governor resuming at a previously governed period (supervisor
-    /// restart continuity: the replacement attempt must not snap back to
-    /// the configured rate the ring already proved it cannot sustain).
-    pub fn resumed(policy: RatePolicy, period_ns: u64) -> Self {
+    /// A governor starting at `period_ns`, clamped into the policy's
+    /// range: the base period for a fresh run, or a previously governed
+    /// period on a supervisor restart (the replacement attempt must not
+    /// snap back to the configured rate the ring already proved it cannot
+    /// sustain).
+    pub(crate) fn new(policy: RatePolicy, period_ns: u64) -> Self {
         Self {
             policy,
             period_ns: period_ns.clamp(policy.base_period_ns, policy.max_period_ns.max(1)),
@@ -196,16 +184,6 @@ impl RateGovernor {
             next_seq: 0,
             stats: GovernorStats::default(),
         }
-    }
-
-    /// The period the governor believes is in effect.
-    pub fn period_ns(&self) -> u64 {
-        self.period_ns
-    }
-
-    /// The policy this governor runs.
-    pub fn policy(&self) -> &RatePolicy {
-        &self.policy
     }
 
     /// Counters so far.
@@ -228,9 +206,7 @@ impl RateGovernor {
     pub fn observe(&mut self, sample: PressureSample) -> RateDecision {
         if sample.pressured(&self.policy) {
             self.calm_streak = 0;
-            let proposed = self
-                .period_ns
-                .saturating_mul(u64::from(self.policy.increase_factor.max(2)));
+            let proposed = self.period_ns.saturating_mul(INCREASE_FACTOR);
             let clamped = proposed.min(self.policy.max_period_ns.max(self.policy.base_period_ns));
             if clamped < proposed {
                 self.stats.clamps += 1;
@@ -248,7 +224,7 @@ impl RateGovernor {
             self.calm_streak = 0;
             let proposed = self
                 .period_ns
-                .saturating_sub(self.policy.decrease_step_ns.max(1))
+                .saturating_sub(self.policy.decrease_step_ns())
                 .max(self.policy.base_period_ns);
             return self.retune(proposed, -1);
         }
@@ -274,6 +250,10 @@ impl RateGovernor {
 mod tests {
     use super::*;
 
+    fn governor(policy: RatePolicy) -> RateGovernor {
+        RateGovernor::new(policy, policy.base_period_ns)
+    }
+
     fn calm() -> PressureSample {
         PressureSample::default()
     }
@@ -287,18 +267,18 @@ mod tests {
 
     #[test]
     fn zero_pressure_never_retunes() {
-        let mut g = RateGovernor::new(RatePolicy::new(100_000));
+        let mut g = governor(RatePolicy::new(100_000));
         for _ in 0..1_000 {
             assert_eq!(g.observe(calm()), RateDecision::Hold);
         }
         assert!(g.stats().is_idle());
-        assert_eq!(g.period_ns(), 100_000);
+        assert_eq!(g.period_ns, 100_000);
     }
 
     #[test]
     fn pressure_multiplies_and_clamps() {
         let policy = RatePolicy::new(100_000).max_period(400_000);
-        let mut g = RateGovernor::new(policy);
+        let mut g = governor(policy);
         assert_eq!(
             g.observe(pressured()),
             RateDecision::Retune {
@@ -321,37 +301,34 @@ mod tests {
 
     #[test]
     fn calm_decreases_only_after_hysteresis_and_floors_at_base() {
-        let policy = RatePolicy::new(100_000).hysteresis(3).decrease_step(60_000);
-        let mut g = RateGovernor::new(policy);
+        // Base 100k: the additive step is base/4 = 25k.
+        let policy = RatePolicy::new(100_000).hysteresis(3);
+        let mut g = governor(policy);
         g.observe(pressured()); // 200k
         assert_eq!(g.observe(calm()), RateDecision::Hold);
         assert_eq!(g.observe(calm()), RateDecision::Hold);
         assert_eq!(
             g.observe(calm()),
             RateDecision::Retune {
-                period_ns: 140_000,
+                period_ns: 175_000,
                 seq: 1
             }
         );
-        // Next decrease floors at base, never below.
-        g.observe(calm());
-        g.observe(calm());
-        assert_eq!(
-            g.observe(calm()),
-            RateDecision::Retune {
-                period_ns: 100_000,
-                seq: 2
-            }
-        );
+        // Three more hysteresis runs step down to base, never below.
+        for (seq, period_ns) in [(2, 150_000), (3, 125_000), (4, 100_000)] {
+            g.observe(calm());
+            g.observe(calm());
+            assert_eq!(g.observe(calm()), RateDecision::Retune { period_ns, seq });
+        }
         for _ in 0..10 {
             assert_eq!(g.observe(calm()), RateDecision::Hold);
         }
-        assert_eq!(g.period_ns(), 100_000);
+        assert_eq!(g.period_ns, 100_000);
     }
 
     #[test]
     fn oscillations_count_direction_reversals() {
-        let mut g = RateGovernor::new(RatePolicy::new(100_000).hysteresis(1));
+        let mut g = governor(RatePolicy::new(100_000).hysteresis(1));
         g.observe(pressured()); // up
         g.observe(calm()); // down: reversal 1
         g.observe(pressured()); // up: reversal 2
@@ -361,14 +338,14 @@ mod tests {
     #[test]
     fn depth_and_pause_also_count_as_pressure() {
         let policy = RatePolicy::new(100_000);
-        let mut g = RateGovernor::new(policy);
+        let mut g = governor(policy);
         let deep = PressureSample {
             buffered: 90,
             capacity: 100,
             ..PressureSample::default()
         };
         assert!(matches!(g.observe(deep), RateDecision::Retune { .. }));
-        let mut g = RateGovernor::new(policy);
+        let mut g = governor(policy);
         let paused = PressureSample {
             pause_delta: 1,
             ..PressureSample::default()
@@ -378,16 +355,16 @@ mod tests {
 
     #[test]
     fn resumed_governor_starts_at_the_governed_period() {
-        let g = RateGovernor::resumed(RatePolicy::new(100_000), 400_000);
-        assert_eq!(g.period_ns(), 400_000);
+        let g = RateGovernor::new(RatePolicy::new(100_000), 400_000);
+        assert_eq!(g.period_ns, 400_000);
         // Out-of-range resume periods are clamped into the policy window.
-        let g = RateGovernor::resumed(RatePolicy::new(100_000), 10);
-        assert_eq!(g.period_ns(), 100_000);
+        let g = RateGovernor::new(RatePolicy::new(100_000), 10);
+        assert_eq!(g.period_ns, 100_000);
     }
 
     #[test]
     fn acks_track_issued_seqs() {
-        let mut g = RateGovernor::new(RatePolicy::new(100_000));
+        let mut g = governor(RatePolicy::new(100_000));
         let RateDecision::Retune { seq, .. } = g.observe(pressured()) else {
             panic!("expected a retune");
         };
@@ -403,7 +380,7 @@ mod tests {
             .map(|i| if i % 7 < 2 { pressured() } else { calm() })
             .collect();
         let run = |inputs: &[PressureSample]| {
-            let mut g = RateGovernor::new(policy);
+            let mut g = governor(policy);
             let decisions: Vec<RateDecision> = inputs.iter().map(|s| g.observe(*s)).collect();
             (decisions, g.stats())
         };

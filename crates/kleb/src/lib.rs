@@ -8,7 +8,7 @@
 //!
 //! The system has two halves, mirroring the paper's Fig. 1:
 //!
-//! - [`KlebModule`]: the kernel module. It programs the PMU, hooks the
+//! - `KlebModule`: the kernel module. It programs the PMU, hooks the
 //!   scheduler's context switches to isolate counts to the monitored process
 //!   tree, samples counters on a high-resolution kernel timer into a kernel
 //!   ring buffer, follows forks, pauses on buffer pressure (the starvation
@@ -31,18 +31,18 @@
 //! # Ok::<(), kleb::MonitorError>(())
 //! ```
 
-pub mod api;
-pub mod config;
-pub mod controller;
-pub mod governor;
+mod api;
+mod config;
+mod controller;
+mod governor;
 pub mod log;
-pub mod module;
-pub mod sample;
+mod module;
+mod sample;
 
-pub use api::{monitor_sequential, Monitor, MonitorError, MonitorOutcome, SequentialOutcome};
-pub use config::{ConfigError, ModuleStatus, MonitorConfig};
-pub use controller::{Controller, ControllerReport, RecoveryStats, SampleSink};
-pub use governor::{GovernorStats, PressureSample, RateDecision, RateGovernor, RatePolicy};
+pub use api::{Monitor, MonitorError, MonitorOutcome};
+pub use config::{ModuleStatus, MonitorConfig};
+pub use controller::{Controller, RecoveryStats, SampleSink};
+pub use governor::{GovernorStats, RatePolicy};
 pub use log::{parse_csv, render_csv, LogParseError};
-pub use module::{KlebModule, KlebTuning};
+pub use module::KlebTuning;
 pub use sample::{Sample, RECORD_BYTES};

@@ -123,7 +123,7 @@ struct Armed {
 
 /// The kernel module (a [`Device`] in the simulated kernel).
 #[derive(Debug)]
-pub struct KlebModule {
+pub(crate) struct KlebModule {
     tuning: KlebTuning,
     armed: Option<Armed>,
 }
@@ -141,7 +141,7 @@ impl KlebModule {
     }
 
     /// A module with explicit cost tuning.
-    pub fn with_tuning(tuning: KlebTuning) -> Self {
+    pub(crate) fn with_tuning(tuning: KlebTuning) -> Self {
         Self {
             tuning,
             armed: None,

@@ -62,11 +62,6 @@ impl Sample {
         self.fixed[0]
     }
 
-    /// Core cycles in this period (fixed counter 1).
-    pub fn core_cycles(&self) -> u64 {
-        self.fixed[1]
-    }
-
     /// Encodes into the 80-byte wire format.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.timestamp_ns.to_le_bytes());
@@ -221,6 +216,5 @@ mod tests {
     fn accessors() {
         let s = sample();
         assert_eq!(s.instructions(), 1);
-        assert_eq!(s.core_cycles(), 2);
     }
 }

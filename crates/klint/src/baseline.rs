@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use crate::rules::{Rule, Violation};
 
 /// Key of one baseline entry.
-pub type Key = (Rule, String, String);
+pub(crate) type Key = (Rule, String, String);
 
 /// Allowed violation counts, keyed by `(rule, path, snippet)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -47,7 +47,7 @@ impl Baseline {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError`] for lines that are not
+    /// Returns `ParseError` for lines that are not
     /// `rule\tpath\tsnippet\tcount` (blank lines and `#` comments are
     /// skipped).
     pub fn parse(text: &str) -> Result<Self, ParseError> {

@@ -377,3 +377,81 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scan(src: &str) -> Vec<String> {
+        let mut items = BTreeSet::new();
+        scan_file(src, &mut items);
+        items.into_iter().collect()
+    }
+
+    #[test]
+    fn restricted_visibility_is_not_api() {
+        let src = "
+pub(crate) fn a() {}
+pub(super) struct B;
+pub(in crate::x) enum C { V }
+pub(crate) use inner::D;
+pub fn e() {}
+";
+        assert_eq!(scan(src), ["fn e"]);
+    }
+
+    #[test]
+    fn items_inside_mod_tests_are_skipped() {
+        let src = "
+pub fn kept() {}
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+    pub struct Fixture;
+    pub use super::kept;
+}
+";
+        assert_eq!(scan(src), ["fn kept"]);
+    }
+
+    #[test]
+    fn impl_methods_are_attributed_to_their_type() {
+        let src = "
+pub struct S;
+impl<T: Clone> S {
+    pub fn new() -> Self { S }
+    fn private() {}
+    pub const LIMIT: u8 = 1;
+}
+impl std::fmt::Display for S {
+    pub fn shown() {}
+}
+impl<T> Iterator for Wrapper<T> where T: Copy {
+    pub fn step() {}
+}
+pub fn free() {}
+";
+        assert_eq!(
+            scan(src),
+            [
+                "const LIMIT",
+                "fn S::new",
+                "fn S::shown",
+                "fn Wrapper::step",
+                "fn free",
+                "struct S",
+            ]
+        );
+    }
+
+    #[test]
+    fn const_fn_is_listed_as_fn() {
+        let src = "
+pub const fn f() -> u8 { 0 }
+pub const N: usize = 1;
+pub unsafe fn g() {}
+pub static mut H: u8 = 0;
+";
+        assert_eq!(scan(src), ["const N", "fn f", "fn g", "static H"]);
+    }
+}

@@ -6,7 +6,7 @@
 //! bit-for-bit deterministic, and tools must speak the documented MSR
 //! protocol. `klint` walks the workspace sources with a hand-rolled lexer
 //! ([`lexer`]) and enforces both as token-level rules ([`rules`]), with
-//! per-site suppressions and a checked-in baseline ([`baseline`]) so
+//! per-site suppressions and a checked-in baseline (`baseline`) so
 //! existing debt is frozen rather than ignored. Its dynamic twin is
 //! `pmu::ProtocolChecker`, which validates the MSR access trace at runtime.
 //!
@@ -20,7 +20,7 @@
 //! let t = Instant::now();
 //! ```
 
-pub mod baseline;
+mod baseline;
 pub mod lexer;
 pub mod rules;
 
@@ -124,7 +124,7 @@ impl std::error::Error for WalkError {}
 /// # Errors
 ///
 /// Returns [`WalkError`] if a directory listed above cannot be read.
-pub fn workspace_sources(root: &Path) -> Result<Vec<String>, WalkError> {
+pub(crate) fn workspace_sources(root: &Path) -> Result<Vec<String>, WalkError> {
     let mut files = Vec::new();
     let crates = root.join("crates");
     for krate in read_dir_sorted(&crates)? {

@@ -4,7 +4,7 @@
 //! |------|-----------|-------|
 //! | `D1` | no wall-clock / unseeded RNG (`SystemTime::now`, `Instant::now`, argless `thread_rng()`, `from_entropy()`, `rand::random()`) — simulated time comes from `ksim::time`, randomness from seeded `StdRng` | `pmu`, `ksim`, `memsim`, `kleb`, `workloads`, `baselines`, `fleet`, `ktrace`, `kchan` |
 //! | `D2` | no `unwrap()` / `expect()` in library code — use typed errors | `pmu`, `ksim`, `kleb`, `workloads`, `baselines`, `ktrace`, `kchan`, `fleet` (non-test) |
-//! | `D3` | no `Ordering::Relaxed` on atomics that gate cross-thread data visibility | `fleet`, `kchan` (allowlists: `fleet/src/metrics.rs` pure counters; `kchan/src/ring.rs`, the documented ordering-protocol module) |
+//! | `D3` | no `Ordering::Relaxed` on atomics that gate cross-thread data visibility | `fleet`, `kchan` (allowlist: `kchan/src/ring.rs`, the documented ordering-protocol module) |
 //! | `M1` | `wrmsr`/`rdmsr` call sites name a `pmu::msr` constant, never a bare integer MSR address | all crates (non-test) |
 //! | `U1` | every `unsafe` block/fn/impl is preceded by a `// SAFETY:` comment (or a `/// # Safety` doc section) justifying it | all crates |
 //! | `A1` | atomic ordering pairing, audited crate-wide: a `Release` store must have a same-field `Acquire`/`AcqRel` read somewhere in the crate, and one field must not mix `SeqCst` with `Relaxed` | all crates (non-test) |
@@ -111,7 +111,7 @@ impl Rule {
 
     /// Whether this rule skips test code (`#[cfg(test)]` modules and
     /// `tests/` directories).
-    pub fn skips_tests(self) -> bool {
+    pub(crate) fn skips_tests(self) -> bool {
         // A1 skips tests: model/stress tests deliberately use odd
         // orderings, and pairing analysis is only meaningful over the
         // library code that ships. U1 applies to tests too — unsafe in a
@@ -126,17 +126,12 @@ impl Rule {
     }
 
     /// Per-file allowlist baked into the rule definition.
-    pub fn allows_file(self, rel_path: &str) -> bool {
+    pub(crate) fn allows_file(self, rel_path: &str) -> bool {
         match self {
-            // metrics.rs: pure monotonic counters (sample/violation/
-            // latency tallies) — Relaxed is correct there because no
-            // thread reads them to decide whether *other* data is
-            // visible. ring.rs: the one module allowed to choose atomic
-            // orderings for data publication, with the full
-            // release/acquire argument documented at the top of the file.
-            Rule::D3 => {
-                rel_path == "crates/fleet/src/metrics.rs" || rel_path == "crates/kchan/src/ring.rs"
-            }
+            // ring.rs: the one module allowed to choose atomic orderings
+            // for data publication, with the full release/acquire
+            // argument documented at the top of the file.
+            Rule::D3 => rel_path == "crates/kchan/src/ring.rs",
             _ => false,
         }
     }
@@ -286,7 +281,7 @@ fn in_spans(spans: &[(usize, usize)], idx: usize) -> bool {
 ///
 /// `crate_name` is the `crates/<name>/…` component of the path (if any),
 /// `in_tests_dir` marks files under a `tests/` directory.
-pub fn check_tokens(
+pub(crate) fn check_tokens(
     lexed: &Lexed,
     rel_path: &str,
     crate_name: Option<&str>,

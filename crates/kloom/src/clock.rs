@@ -9,7 +9,7 @@
 
 /// One thread's position in another thread's view: `(thread, time)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Epoch {
+pub(crate) struct Epoch {
     /// The thread that performed the operation.
     pub thread: usize,
     /// That thread's logical time when it did.
@@ -19,7 +19,7 @@ pub struct Epoch {
 /// A vector clock, indexed by thread id. Missing components are zero, so
 /// clocks for late-spawned threads stay short.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VClock {
+pub(crate) struct VClock {
     times: Vec<u32>,
 }
 
@@ -43,7 +43,7 @@ impl VClock {
     }
 
     /// Bumps `thread`'s own component by one and returns the new epoch.
-    pub fn tick(&mut self, thread: usize) -> Epoch {
+    pub(crate) fn tick(&mut self, thread: usize) -> Epoch {
         let time = self.get(thread) + 1;
         self.set(thread, time);
         Epoch { thread, time }
@@ -65,14 +65,6 @@ impl VClock {
     /// view — i.e. whoever owns this clock has synchronized with it.
     pub fn observes(&self, epoch: Epoch) -> bool {
         self.get(epoch.thread) >= epoch.time
-    }
-
-    /// Partial-order ≤: every component of `self` is within `other`.
-    pub fn le(&self, other: &VClock) -> bool {
-        self.times
-            .iter()
-            .enumerate()
-            .all(|(i, &t)| t <= other.get(i))
     }
 }
 
@@ -105,25 +97,8 @@ mod tests {
     }
 
     #[test]
-    fn le_is_a_partial_order() {
-        let mut a = VClock::new();
-        a.set(0, 1);
-        let mut b = VClock::new();
-        b.set(0, 2);
-        b.set(1, 1);
-        assert!(a.le(&b));
-        assert!(!b.le(&a));
-        // Incomparable pair.
-        let mut c = VClock::new();
-        c.set(1, 9);
-        assert!(!c.le(&b));
-        assert!(!b.le(&c));
-    }
-
-    #[test]
     fn missing_components_read_as_zero() {
         let a = VClock::new();
         assert_eq!(a.get(17), 0);
-        assert!(a.le(&VClock::new()));
     }
 }

@@ -28,12 +28,12 @@
 //! panics in un-instrumented code. See `DESIGN.md` § "Concurrency
 //! verification" for the full contract.
 
-pub mod atomic;
+mod atomic;
 pub mod cell;
-pub mod clock;
+mod clock;
 mod report;
 mod sched;
-pub mod sync_shadow;
+mod sync_shadow;
 pub mod thread;
 
 pub use report::{Failure, FailureKind, Report};

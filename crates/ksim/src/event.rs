@@ -9,7 +9,7 @@ use crate::time::Instant;
 
 /// Kinds of scheduled machine events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A high-resolution timer reached its (jittered) deadline.
     TimerFire {
         /// Which timer.
@@ -62,7 +62,7 @@ impl PartialOrd for Entry {
 /// Min-heap of events ordered by `(time, insertion sequence)` — ties resolve
 /// in insertion order, keeping the simulation fully deterministic.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Reverse<Entry>>,
     seq: u64,
 }
@@ -94,18 +94,8 @@ impl EventQueue {
     }
 
     /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Instant> {
+    pub(crate) fn peek_time(&self) -> Option<Instant> {
         self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -154,7 +144,6 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.push(ev(42, EventKind::SchedTick { generation: 0 }));
         assert_eq!(q.peek_time(), Some(Instant::from_nanos(42)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.heap.len(), 1);
     }
 }

@@ -36,8 +36,8 @@ const FAULT_SEED_SALT: u64 = 0xC4A0_5F17_9E37_79B9;
 /// [`FaultState::for_attempt`]). Arbitrary odd constant.
 const ATTEMPT_SEED_SALT: u64 = 0x9E6C_63D0_985B_2C35;
 
-/// One class of injectable fault. Used both to draw (“does this fault fire
-/// here?”) and to index per-class counters in [`FaultStats`].
+/// One class of injectable fault: what a draw asks (“does this fault fire
+/// here?”).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// An hrtimer expiry is delivered late by a fixed extra delay
@@ -73,11 +73,11 @@ pub enum FaultClass {
     ThreadPanic,
 }
 
-/// Number of [`FaultClass`] variants (array-index bound for stats).
-pub const NUM_FAULT_CLASSES: usize = 9;
+/// Number of [`FaultClass`] variants.
+pub(crate) const NUM_FAULT_CLASSES: usize = 9;
 
 impl FaultClass {
-    /// Stable per-class index into [`FaultStats`].
+    /// Stable per-class index: the class's position in [`FaultClass::ALL`].
     pub const fn index(self) -> usize {
         match self {
             FaultClass::TimerDelay => 0,
@@ -167,7 +167,8 @@ pub struct FaultPlan {
     /// expiry. **Process-fatal without supervision** — deliberately *not*
     /// part of [`FaultPlan::chaos`], since chaos plans are also run
     /// through unsupervised single-machine monitors; opt in with
-    /// [`FaultPlan::thread_panic`] / [`FaultPlan::with_thread_panic`].
+    /// [`FaultPlan::thread_panic`] (or set this field on a
+    /// [`FaultPlan::chaos`] base).
     pub thread_panic_rate: f64,
     /// Burst-window period, nanoseconds. `0` (the default) means faults
     /// are always eligible — bit-identical to plans predating burst
@@ -247,15 +248,6 @@ impl FaultPlan {
         }
     }
 
-    /// Returns this plan with the thread-panic rate set to `p` — the way
-    /// to compose crash testing with a [`FaultPlan::chaos`] base.
-    pub fn with_thread_panic(self, p: f64) -> FaultPlan {
-        FaultPlan {
-            thread_panic_rate: p.clamp(0.0, 1.0),
-            ..self
-        }
-    }
-
     /// Returns this plan confined to periodic bursts: faults may fire
     /// only during the first `duty` fraction of each `period` on the
     /// simulated clock. `Duration::ZERO` (or a zero duty) disables
@@ -272,7 +264,7 @@ impl FaultPlan {
 
     /// Whether `now_ns` falls inside a fault-eligible burst window.
     /// Always true when windowing is off (`burst_period_ns == 0`).
-    pub fn in_burst(&self, now_ns: u64) -> bool {
+    pub(crate) fn in_burst(&self, now_ns: u64) -> bool {
         if self.burst_period_ns == 0 {
             return true;
         }
@@ -294,12 +286,6 @@ impl FaultPlan {
             FaultClass::ThreadPanic => self.thread_panic_rate,
         }
     }
-
-    /// Whether any fault class can fire (or the ring is shrunken). When
-    /// false the fault state never draws from its RNG.
-    pub fn is_active(&self) -> bool {
-        self.ring_shrink > 0.0 || FaultClass::ALL.iter().any(|&c| self.rate(c) > 0.0)
-    }
 }
 
 impl Default for FaultPlan {
@@ -308,89 +294,46 @@ impl Default for FaultPlan {
     }
 }
 
-/// Per-class counters of faults actually injected, for observability:
-/// chaos reports pair these with the consumer-side accounting
-/// (`samples_dropped`, retries, watchdog events) to prove degradation is
-/// bounded *and accounted*.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    injected: [u64; NUM_FAULT_CLASSES],
-}
-
-impl FaultStats {
-    /// Times `class` fired so far.
-    pub fn count(&self, class: FaultClass) -> u64 {
-        self.injected[class.index()]
-    }
-
-    /// Total faults injected across all classes.
-    pub fn total(&self) -> u64 {
-        self.injected.iter().sum()
-    }
-
-    fn record(&mut self, class: FaultClass) {
-        self.injected[class.index()] += 1;
-    }
-}
-
 /// Live fault-injection state owned by a [`crate::Machine`].
 ///
-/// Holds the plan, the derived seeded RNG, the per-`(core, msr)` freeze
-/// table and the injection counters. All methods are cheap no-ops when the
+/// Holds the plan, the derived seeded RNG and the per-`(core, msr)`
+/// freeze table. All methods are cheap no-ops when the
 /// plan is inert.
 #[derive(Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     plan: FaultPlan,
     rng: StdRng,
     /// `(core, msr) → (stuck value, remaining reads)`.
     frozen: BTreeMap<(usize, u32), (u64, u32)>,
-    stats: FaultStats,
 }
 
 impl FaultState {
     /// Builds the fault state for `plan`, deriving the fault RNG from the
     /// machine `seed` (salted so it never shares a stream with the jitter
-    /// RNG).
-    pub fn new(plan: FaultPlan, seed: u64) -> Self {
-        Self::for_attempt(plan, seed, 0)
-    }
-
-    /// Like [`FaultState::new`], but additionally salts the RNG with a
-    /// restart `attempt` number. Attempt 0 is bit-identical to
-    /// [`FaultState::new`]; each later attempt gets a deterministic but
-    /// *different* fault stream. Without this, a supervisor restarting a
+    /// RNG) and a restart `attempt` number: each attempt gets a
+    /// deterministic but *different* fault stream. Without this, a supervisor restarting a
     /// machine after an injected [`FaultClass::ThreadPanic`] would replay
     /// the identical draw sequence and crash at the same instant forever —
     /// with it, retries make progress while the whole run (including every
     /// crash point) stays a pure function of `(plan, seed)`.
-    pub fn for_attempt(plan: FaultPlan, seed: u64, attempt: u32) -> Self {
+    pub(crate) fn for_attempt(plan: FaultPlan, seed: u64, attempt: u32) -> Self {
         let salt = FAULT_SEED_SALT ^ u64::from(attempt).wrapping_mul(ATTEMPT_SEED_SALT);
         Self {
             plan,
             rng: StdRng::seed_from_u64(seed ^ salt),
             frozen: BTreeMap::new(),
-            stats: FaultStats::default(),
         }
-    }
-
-    /// The plan in effect.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Draws whether `class` fires at this opportunity. Never touches the
     /// RNG when the class's rate is zero, so an inert plan consumes no
     /// randomness at all.
-    pub fn fires(&mut self, class: FaultClass) -> bool {
+    pub(crate) fn fires(&mut self, class: FaultClass) -> bool {
         let rate = self.plan.rate(class);
         if rate <= 0.0 {
             return false;
         }
-        let hit = rate >= 1.0 || self.rng.gen_f64() < rate;
-        if hit {
-            self.stats.record(class);
-        }
-        hit
+        rate >= 1.0 || self.rng.gen_f64() < rate
     }
 
     /// Burst-windowed draw: like [`FaultState::fires`], but gated on
@@ -399,7 +342,7 @@ impl FaultState {
     /// function of `(plan, seed)` regardless of how many quiet
     /// opportunities pass between windows. With windowing off this is
     /// bit-identical to `fires`.
-    pub fn fires_at(&mut self, class: FaultClass, now_ns: u64) -> bool {
+    pub(crate) fn fires_at(&mut self, class: FaultClass, now_ns: u64) -> bool {
         if !self.plan.in_burst(now_ns) {
             return false;
         }
@@ -410,7 +353,7 @@ impl FaultState {
     /// returns its stuck value (consuming one remaining read); otherwise
     /// a freeze may start, in which case this read still observes `fresh`
     /// but the *next* [`FaultPlan::msr_freeze_reads`] reads stick at it.
-    pub fn filter_rdmsr(&mut self, core: usize, addr: u32, fresh: u64) -> u64 {
+    pub(crate) fn filter_rdmsr(&mut self, core: usize, addr: u32, fresh: u64) -> u64 {
         if let Some((stuck, remaining)) = self.frozen.get_mut(&(core, addr)) {
             let v = *stuck;
             *remaining -= 1;
@@ -425,21 +368,19 @@ impl FaultState {
         }
         fresh
     }
-
-    /// Counters of faults injected so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn state(plan: FaultPlan, seed: u64) -> FaultState {
+        FaultState::for_attempt(plan, seed, 0)
+    }
+
     #[test]
     fn none_plan_is_inert_and_draws_nothing() {
-        assert!(!FaultPlan::NONE.is_active());
-        let mut st = FaultState::new(FaultPlan::NONE, 7);
+        let mut st = state(FaultPlan::NONE, 7);
         let rng_before = format!("{:?}", st.rng);
         for class in FaultClass::ALL {
             assert!(!st.fires(class));
@@ -447,14 +388,13 @@ mod tests {
         assert_eq!(st.filter_rdmsr(0, 0x309, 42), 42);
         // The RNG state is untouched: zero draws happened.
         assert_eq!(format!("{:?}", st.rng), rng_before);
-        assert_eq!(st.stats().total(), 0);
     }
 
     #[test]
     fn fires_is_deterministic_per_seed() {
         let plan = FaultPlan::chaos(0.3);
         let draws = |seed: u64| -> Vec<bool> {
-            let mut st = FaultState::new(plan, seed);
+            let mut st = state(plan, seed);
             (0..256).map(|_| st.fires(FaultClass::RingSlot)).collect()
         };
         assert_eq!(draws(11), draws(11));
@@ -462,18 +402,16 @@ mod tests {
     }
 
     #[test]
-    fn rate_one_always_fires_and_is_counted() {
-        let mut st = FaultState::new(FaultPlan::ring_pressure(1.0), 0);
+    fn rate_one_always_fires() {
+        let mut st = state(FaultPlan::ring_pressure(1.0), 0);
         for _ in 0..10 {
             assert!(st.fires(FaultClass::RingSlot));
         }
-        assert_eq!(st.stats().count(FaultClass::RingSlot), 10);
-        assert_eq!(st.stats().total(), 10);
     }
 
     #[test]
     fn observed_rate_tracks_configured_rate() {
-        let mut st = FaultState::new(FaultPlan::ring_pressure(0.25), 99);
+        let mut st = state(FaultPlan::ring_pressure(0.25), 99);
         let n = 10_000;
         let hits = (0..n).filter(|_| st.fires(FaultClass::RingSlot)).count();
         let observed = hits as f64 / n as f64;
@@ -487,7 +425,7 @@ mod tests {
             msr_freeze_reads: 2,
             ..FaultPlan::NONE
         };
-        let mut st = FaultState::new(plan, 3);
+        let mut st = state(plan, 3);
         // Onset read observes the fresh value and starts the freeze.
         assert_eq!(st.filter_rdmsr(0, 0x309, 100), 100);
         // The next two reads stick at 100 regardless of the fresh value.
@@ -502,9 +440,10 @@ mod tests {
 
     #[test]
     fn chaos_preset_scales_with_intensity() {
-        assert!(!FaultPlan::chaos(0.0).is_active());
+        let off = FaultPlan::chaos(0.0);
+        assert!(FaultClass::ALL.iter().all(|&c| off.rate(c) == 0.0));
+        assert_eq!(off.ring_shrink, 0.0);
         let p = FaultPlan::chaos(0.1);
-        assert!(p.is_active());
         assert!((p.ring_pressure - 0.1).abs() < 1e-12);
         assert!(p.timer_miss_rate > 0.0 && p.timer_miss_rate < 0.1);
         // Intensity clamps.
@@ -512,14 +451,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_panic_stays_out_of_chaos_and_composes_explicitly() {
+    fn thread_panic_stays_out_of_chaos() {
         // chaos() must never enable the process-fatal class implicitly:
         // unsupervised monitors run chaos plans directly.
         assert_eq!(FaultPlan::chaos(1.0).thread_panic_rate, 0.0);
-        let plan = FaultPlan::chaos(0.2).with_thread_panic(0.05);
-        assert!((plan.thread_panic_rate - 0.05).abs() < 1e-12);
-        assert!((plan.ring_pressure - 0.2).abs() < 1e-12, "base preserved");
-        assert!(FaultPlan::thread_panic(0.5).is_active());
         assert_eq!(
             FaultPlan::thread_panic(0.5).rate(FaultClass::ThreadPanic),
             0.5
@@ -527,17 +462,12 @@ mod tests {
     }
 
     #[test]
-    fn attempt_salt_diverges_but_attempt_zero_matches_new() {
+    fn attempt_salt_diverges_deterministically() {
         let plan = FaultPlan::chaos(0.3);
         let draws = |st: &mut FaultState| -> Vec<bool> {
             (0..256).map(|_| st.fires(FaultClass::RingSlot)).collect()
         };
-        let base = draws(&mut FaultState::new(plan, 11));
-        assert_eq!(
-            base,
-            draws(&mut FaultState::for_attempt(plan, 11, 0)),
-            "attempt 0 must be bit-identical to FaultState::new"
-        );
+        let base = draws(&mut state(plan, 11));
         let retry = draws(&mut FaultState::for_attempt(plan, 11, 1));
         assert_ne!(base, retry, "attempts draw distinct fault streams");
         assert_eq!(
@@ -552,7 +482,7 @@ mod tests {
         use crate::Duration;
         let plan = FaultPlan::ring_pressure(1.0);
         // Windowing off: fires_at is bit-identical to fires.
-        let mut on = FaultState::new(plan, 5);
+        let mut on = state(plan, 5);
         for t in (0..10u64).map(|i| i * 50_000) {
             assert!(on.fires_at(FaultClass::RingSlot, t));
         }
@@ -563,13 +493,11 @@ mod tests {
         assert!(!windowed.in_burst(250_000));
         assert!(!windowed.in_burst(999_999));
         assert!(windowed.in_burst(1_000_000), "window repeats");
-        let mut st = FaultState::new(windowed, 5);
+        let mut st = state(windowed, 5);
         let rng_before = format!("{:?}", st.rng);
         assert!(!st.fires_at(FaultClass::RingSlot, 600_000));
-        // Outside the burst nothing was drawn: the RNG is untouched and
-        // the quiet opportunity leaves no trace in the stats.
+        // Outside the burst nothing was drawn: the RNG is untouched.
         assert_eq!(format!("{:?}", st.rng), rng_before);
-        assert_eq!(st.stats().total(), 0);
         assert!(st.fires_at(FaultClass::RingSlot, 1_100_000));
         // Zero duty closes every window; zero period reopens them all.
         assert!(!plan.bursts(Duration::from_micros(1_000), 0.0).in_burst(0));
@@ -584,14 +512,14 @@ mod tests {
         // extra quiet-period probes interleaved: identical draw results.
         let bursts: Vec<u64> = (0..64).map(|i| i * 1_000_000 + 100_000).collect();
         let sparse: Vec<bool> = {
-            let mut st = FaultState::new(plan, 9);
+            let mut st = state(plan, 9);
             bursts
                 .iter()
                 .map(|&t| st.fires_at(FaultClass::RingSlot, t))
                 .collect()
         };
         let dense: Vec<bool> = {
-            let mut st = FaultState::new(plan, 9);
+            let mut st = state(plan, 9);
             bursts
                 .iter()
                 .map(|&t| {

@@ -35,7 +35,7 @@ impl JitterModel {
 
     /// Default model: ~1.2 µs mean slip, 400 ns sigma — consistent with the
     /// paper's observation that ~1% jitter at 100 µs periods is expected.
-    pub fn default_hrtimer() -> Self {
+    pub(crate) fn default_hrtimer() -> Self {
         Self {
             mean_ns: 1_200.0,
             sigma_ns: 400.0,
@@ -61,7 +61,7 @@ impl JitterModel {
 
 /// State of one armed timer.
 #[derive(Debug, Clone, Copy)]
-pub struct TimerEntry {
+pub(crate) struct TimerEntry {
     /// Device whose `on_timer` hook fires.
     pub owner: DeviceId,
     /// Core the expiry interrupt is delivered on.
@@ -74,7 +74,7 @@ pub struct TimerEntry {
 
 /// Table of all kernel timers.
 #[derive(Debug, Default)]
-pub struct TimerTable {
+pub(crate) struct TimerTable {
     timers: Vec<TimerEntry>,
 }
 
@@ -99,7 +99,7 @@ impl TimerTable {
 
     /// Arms (or re-arms) a timer for `deadline`; returns the new generation
     /// to stamp into the queued fire event.
-    pub fn arm(&mut self, id: TimerId, deadline: Instant) -> u64 {
+    pub(crate) fn arm(&mut self, id: TimerId, deadline: Instant) -> u64 {
         let t = &mut self.timers[id.0];
         t.generation += 1;
         t.deadline = Some(deadline);
@@ -107,7 +107,7 @@ impl TimerTable {
     }
 
     /// Cancels a timer; any queued fire becomes stale.
-    pub fn cancel(&mut self, id: TimerId) {
+    pub(crate) fn cancel(&mut self, id: TimerId) {
         let t = &mut self.timers[id.0];
         t.generation += 1;
         t.deadline = None;
@@ -116,7 +116,7 @@ impl TimerTable {
     /// Checks whether a queued fire `(id, generation)` is still current;
     /// if so, disarms the timer (one-shot semantics — owners re-arm for
     /// periodic behaviour) and returns its entry.
-    pub fn take_fire(&mut self, id: TimerId, generation: u64) -> Option<TimerEntry> {
+    pub(crate) fn take_fire(&mut self, id: TimerId, generation: u64) -> Option<TimerEntry> {
         let t = &mut self.timers[id.0];
         if t.generation != generation || t.deadline.is_none() {
             return None;
@@ -128,11 +128,6 @@ impl TimerTable {
     /// The entry for a timer.
     pub fn get(&self, id: TimerId) -> &TimerEntry {
         &self.timers[id.0]
-    }
-
-    /// True if the timer is currently armed.
-    pub fn is_armed(&self, id: TimerId) -> bool {
-        self.timers[id.0].deadline.is_some()
     }
 }
 
@@ -146,12 +141,15 @@ mod tests {
     fn arm_take_fire() {
         let mut t = TimerTable::new();
         let id = t.create(DeviceId(0), CoreId(0));
-        assert!(!t.is_armed(id));
+        assert!(t.timers[id.0].deadline.is_none());
         let g = t.arm(id, Instant::from_nanos(100));
-        assert!(t.is_armed(id));
+        assert!(t.timers[id.0].deadline.is_some());
         let fired = t.take_fire(id, g).expect("current generation fires");
         assert_eq!(fired.owner, DeviceId(0));
-        assert!(!t.is_armed(id), "one-shot: disarmed after fire");
+        assert!(
+            t.timers[id.0].deadline.is_none(),
+            "one-shot: disarmed after fire"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! - [`Device`]: loadable-kernel-module interface with ioctl/read entry
 //!   points and kprobe-style hooks (context switch, timer, PMI, process
 //!   lifecycle) — exactly the surface the real K-LEB module uses;
-//! - [`hrtimer`]: high-resolution kernel timers with a seeded jitter model
+//! - `hrtimer`: high-resolution kernel timers with a seeded jitter model
 //!   (§VI of the paper discusses why jitter bounds usable sampling rates);
 //! - [`CostModel`]: calibrated cycle charges for syscalls, context switches,
 //!   interrupts and MSR access, so tool overhead *emerges* from mechanism
@@ -33,19 +33,19 @@
 //! # Ok::<(), ksim::SimError>(())
 //! ```
 
-pub mod cost;
-pub mod device;
-pub mod event;
-pub mod faults;
-pub mod hrtimer;
-pub mod machine;
-pub mod process;
-pub mod time;
-pub mod workload;
+mod cost;
+mod device;
+mod event;
+mod faults;
+mod hrtimer;
+mod machine;
+mod process;
+mod time;
+mod workload;
 
 pub use cost::CostModel;
 pub use device::{Device, DeviceId, Errno};
-pub use faults::{FaultClass, FaultPlan, FaultStats};
+pub use faults::{FaultClass, FaultPlan};
 pub use hrtimer::{JitterModel, TimerId};
 pub use machine::{DramModel, KernelCtx, Machine, MachineConfig, SimError};
 pub use process::{CoreId, Pid, ProcessInfo, ProcessState};

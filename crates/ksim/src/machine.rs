@@ -19,7 +19,7 @@ use memsim::{AccessKind, Hierarchy, HierarchyConfig};
 use crate::cost::CostModel;
 use crate::device::{Device, DeviceId, Errno};
 use crate::event::{Event, EventKind, EventQueue};
-use crate::faults::{FaultClass, FaultPlan, FaultState, FaultStats};
+use crate::faults::{FaultClass, FaultPlan, FaultState};
 use crate::hrtimer::{JitterModel, TimerId, TimerTable};
 use crate::process::{CoreId, Pid, ProcessInfo, ProcessState, ProcessTable};
 use crate::time::{CpuFreq, Duration, Instant};
@@ -57,15 +57,15 @@ pub struct MachineConfig {
     /// Fault-injection plan (the chaos layer). [`FaultPlan::NONE`] by
     /// default: strictly opt-in, and inert plans draw no randomness, so
     /// fault-free runs are bit-identical with the layer compiled in. See
-    /// [`crate::faults`].
+    /// `crate::faults`.
     pub faults: FaultPlan,
     /// Restart-attempt number salting the fault RNG stream (see
-    /// [`FaultState::for_attempt`]). 0 — the default in every constructor
+    /// `FaultState::for_attempt`). 0 — the default in every constructor
     /// — is bit-identical to the unsalted stream; a supervisor restarting
     /// this machine after a crash bumps it so retries do not replay the
     /// identical fault (and crash) sequence.
     pub fault_attempt: u32,
-    /// Attach a [`pmu::ProtocolChecker`] to every core's PMU, recording
+    /// Attach a `pmu::ProtocolChecker` to every core's PMU, recording
     /// MSR-protocol violations for [`Machine::protocol_violations`]. Off by
     /// default; tests that validate tool correctness turn it on.
     pub check_msr_protocol: bool,
@@ -462,12 +462,6 @@ impl Machine {
         &self.cores[core.0].pmu
     }
 
-    /// Mutable PMU access (used by user-space tool setup that programs
-    /// counters via `/dev/msr`-style access, charging no simulated cost).
-    pub fn pmu_mut(&mut self, core: CoreId) -> &mut Pmu {
-        &mut self.cores[core.0].pmu
-    }
-
     /// The cache hierarchy of a core.
     pub fn mem(&self, core: CoreId) -> &Hierarchy {
         &self.cores[core.0].mem
@@ -476,12 +470,6 @@ impl Machine {
     /// Total time a core spent idle.
     pub fn idle_time(&self, core: CoreId) -> Duration {
         self.cores[core.0].idle_time
-    }
-
-    /// Counters of faults injected so far by the chaos layer (always all
-    /// zero unless [`MachineConfig::faults`] enabled some class).
-    pub fn fault_stats(&self) -> &FaultStats {
-        self.faults.stats()
     }
 
     /// MSR-protocol violations recorded across all cores, in core order.
@@ -499,7 +487,7 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Processes the next event. Returns `false` when no events remain.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some(ev) = self.queue.pop() else {
             return false;
         };
@@ -1151,12 +1139,6 @@ impl KernelCtx<'_> {
         self.machine.cores[self.core.0].pmu.wrmsr(addr, value)
     }
 
-    /// Direct PMU access without cost (for bookkeeping reads in tests;
-    /// prefer [`rdmsr`](Self::rdmsr)/[`wrmsr`](Self::wrmsr) in tool code).
-    pub fn pmu_mut(&mut self) -> &mut Pmu {
-        &mut self.machine.cores[self.core.0].pmu
-    }
-
     /// Creates a kernel timer owned by the calling device, delivered on
     /// `core`.
     pub fn timer_create(&mut self, core: CoreId) -> TimerId {
@@ -1209,13 +1191,6 @@ impl KernelCtx<'_> {
     pub fn timer_cancel(&mut self, timer: TimerId) {
         self.charge_kernel_cycles(self.machine.cfg.cost.hrtimer_program);
         self.machine.timers.cancel(timer);
-    }
-
-    /// Whether `timer` is currently armed (its table deadline is set).
-    /// Note a lost expiry ([`FaultClass::TimerMiss`]) leaves the timer
-    /// armed with no fire pending — "armed" alone does not mean "alive".
-    pub fn timer_is_armed(&self, timer: TimerId) -> bool {
-        self.machine.timers.is_armed(timer)
     }
 
     /// Draws whether fault `class` fires at this opportunity — the oracle
@@ -1755,12 +1730,11 @@ mod tests {
         let sel = EventSel::for_event(HwEvent::InstructionsRetired)
             .usr(true)
             .enabled(true);
-        m.pmu_mut(CoreId(0))
+        m.cores[0]
+            .pmu
             .wrmsr(msr::IA32_PERFEVTSEL0, sel.bits())
             .unwrap();
-        m.pmu_mut(CoreId(0))
-            .wrmsr(msr::IA32_PERF_GLOBAL_CTRL, 1)
-            .unwrap();
+        m.cores[0].pmu.wrmsr(msr::IA32_PERF_GLOBAL_CTRL, 1).unwrap();
         let pid = m.spawn(
             "r",
             CoreId(0),

@@ -160,7 +160,7 @@ impl ProcessTable {
     }
 
     /// Pids of all live (non-exited) processes.
-    pub fn live_pids(&self) -> Vec<Pid> {
+    pub(crate) fn live_pids(&self) -> Vec<Pid> {
         self.procs
             .iter()
             .filter(|p| !p.info.is_exited())

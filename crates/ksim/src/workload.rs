@@ -58,11 +58,6 @@ impl WorkBlock {
         self.extra_events.merge(&events);
         self
     }
-
-    /// Total simulated memory accesses this block will issue.
-    pub fn pattern_accesses(&self) -> u64 {
-        self.patterns.iter().map(|p| p.len()).sum()
-    }
 }
 
 /// A syscall request from a workload.
@@ -217,7 +212,8 @@ mod tests {
             })
             .with_events(EventCounts::new().with(pmu::HwEvent::ArithMul, 7));
         assert_eq!(b.instructions, 1000);
-        assert_eq!(b.pattern_accesses(), 10);
+        assert_eq!(b.patterns.len(), 1);
+        assert_eq!(b.patterns[0].len(), 10);
         assert_eq!(b.extra_events.get(pmu::HwEvent::ArithMul), 7);
     }
 

@@ -95,7 +95,7 @@ pub struct EncodedBlock {
 
 /// Per-block metadata [`encode_block_into`] returns beside the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockSummary {
+pub(crate) struct BlockSummary {
     /// Bit `i` ⇔ lane `i` carries a nonzero value somewhere in the block.
     pub lane_mask: u16,
     /// Smallest timestamp in the block.
@@ -108,7 +108,7 @@ pub struct BlockSummary {
 /// (`batch_lens` sums to `samples.len()`; the writer maintains this)
 /// into `payload` (cleared first), reusing its allocation — a streaming
 /// writer flushing block after block allocates exactly once.
-pub fn encode_block_into(
+pub(crate) fn encode_block_into(
     samples: &[Sample],
     batch_lens: &[u64],
     payload: &mut Vec<u8>,
@@ -180,7 +180,7 @@ pub fn encode_block_into(
     }
 }
 
-/// [`encode_block_into`] with a fresh payload allocation per call.
+/// `encode_block_into` with a fresh payload allocation per call.
 pub fn encode_block(samples: &[Sample], batch_lens: &[u64]) -> EncodedBlock {
     let mut payload = Vec::new();
     let summary = encode_block_into(samples, batch_lens, &mut payload);

@@ -44,16 +44,6 @@ impl CorruptionPlan {
             spare_prefix,
         }
     }
-
-    /// A torn tail only.
-    pub fn torn_tail(seed: u64) -> Self {
-        Self {
-            seed,
-            flips: 0,
-            truncate_tail: true,
-            spare_prefix: 0,
-        }
-    }
 }
 
 /// Exactly what [`corrupt`] did — deterministic for a given plan.

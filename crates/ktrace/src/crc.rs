@@ -28,7 +28,7 @@ const TABLE: [u32; 256] = {
 };
 
 /// CRC-32 of `bytes` (IEEE, init `0xFFFF_FFFF`, final XOR).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in bytes {
         crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);

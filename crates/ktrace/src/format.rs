@@ -10,7 +10,7 @@
 //!
 //! Every structure is independently checksummed so a reader can trust a
 //! block header without trusting anything after it, and can resynchronise
-//! on the next block magic after damage (see [`crate::reader`]). Block
+//! on the next block magic after damage (see `crate::reader`). Block
 //! headers carry a min/max-timestamp + active-lane index so range and
 //! event queries skip payloads they cannot match, and a running
 //! `first_index` so corruption losses are *counted*, not guessed.
@@ -107,7 +107,7 @@ impl StreamMeta {
     /// # Errors
     ///
     /// [`TraceError::BadHeader`] on a short, foreign, or CRC-bad header.
-    pub fn decode_header(bytes: &[u8]) -> Result<(StreamMeta, usize), TraceError> {
+    pub(crate) fn decode_header(bytes: &[u8]) -> Result<(StreamMeta, usize), TraceError> {
         let bad = |msg: &str| TraceError::BadHeader(msg.to_string());
         if bytes.len() < 16 {
             return Err(bad("file shorter than the fixed header"));
@@ -182,7 +182,7 @@ impl StreamMeta {
 
 /// One block's header, the unit of integrity and indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockHeader {
+pub(crate) struct BlockHeader {
     /// [`KIND_SAMPLES`] or [`KIND_LEDGER`].
     pub kind: u8,
     /// Bit `i` set ⇔ lane `i` (0‥2 fixed, 3‥6 pmc) has a nonzero value

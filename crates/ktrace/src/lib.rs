@@ -7,24 +7,24 @@
 //! compact, *recoverable* on-disk form and a way to feed a recorded run
 //! back through the fleet pipeline bit-for-bit:
 //!
-//! - [`format`] — the append-only segment format: a CRC-protected file
+//! - [`format`](mod@format) — the append-only segment format: a CRC-protected file
 //!   header, then blocks of `BlockHeader(48 B) · payload`, each part
 //!   independently checksummed, sealed by a [`StreamLedger`] carrying
 //!   the module's drop ledger and recovery stats.
-//! - [`codec`] — the columnar payload encoding: delta-of-delta
+//! - `codec` — the columnar payload encoding: delta-of-delta
 //!   timestamps, zigzag-varint counter deltas, constant-column
 //!   collapsing, sparse flag lists. Dense PMC streams land well under
 //!   10 bytes/sample versus the 80-byte wire record.
-//! - [`writer`] / [`reader`] — bounded-memory streaming
-//!   [`TraceWriter`]; [`TraceReader`] with index-driven time-range and
-//!   event filtering, plus full corruption recovery: CRC-bad blocks are
+//! - `writer` / `reader` — bounded-memory streaming
+//!   [`TraceWriter`]; [`TraceReader`] with full corruption recovery:
+//!   CRC-bad blocks are
 //!   skipped, smashed framing is resynchronised on block magic,
 //!   truncated tails flagged — all losses *counted* in a
 //!   [`RecoveryReport`], never guessed, never panicking.
-//! - [`sink`] — [`TeeSink`], a [`kleb::SampleSink`] that persists live
-//!   drain batches while forwarding them (e.g. to the fleet channel),
-//!   deferring I/O errors so storage trouble never perturbs capture.
-//! - [`replay`] — [`TraceReplayer`] loads a directory of per-stream
+//! - `sink` — [`SharedWriter`], the handle the drain path persists live
+//!   batches through, deferring I/O errors so storage trouble never
+//!   perturbs capture.
+//! - `replay` — [`TraceReplayer`] loads a directory of per-stream
 //!   segments back into memory in stream order; `fleet` drives them
 //!   through the collector as a drop-in machine source.
 //! - [`corrupt`] — a seeded, deterministic damage injector for
@@ -35,26 +35,25 @@
 //! sequence the live run produced — watchdog, metrics and drop
 //! accounting come out identical.
 
-pub mod codec;
-pub mod corrupt;
-pub mod crc;
+mod codec;
+mod corrupt;
+mod crc;
 pub mod format;
-pub mod manifest;
-pub mod reader;
-pub mod replay;
-pub mod sink;
-pub mod varint;
-pub mod writer;
+mod manifest;
+mod reader;
+mod replay;
+mod sink;
+mod varint;
+mod writer;
 
-pub use codec::{decode_block, encode_block, encode_block_into, BlockSummary, EncodedBlock};
+pub use codec::{decode_block, encode_block, EncodedBlock};
 pub use corrupt::{corrupt, CorruptionLog, CorruptionPlan};
-pub use crc::crc32;
+
 pub use format::{
-    BlockHeader, StreamHealth, StreamLedger, StreamMeta, TraceError, BLOCK_HEADER_LEN, FILE_MAGIC,
-    KIND_LEDGER, KIND_SAMPLES, NUM_LANES,
+    StreamHealth, StreamLedger, StreamMeta, TraceError, BLOCK_HEADER_LEN, FILE_MAGIC, KIND_LEDGER,
+    KIND_SAMPLES, NUM_LANES,
 };
-pub use manifest::{Manifest, MANIFEST_EXT, MANIFEST_MAGIC};
-pub use reader::{FilteredRead, ReadFilter, RecoveredStream, RecoveryReport, TraceReader};
-pub use replay::{stream_file_name, TraceReplayer, TRACE_EXT};
-pub use sink::{SharedWriter, TeeSink};
-pub use writer::{TraceWriter, DEFAULT_BLOCK_TARGET};
+pub use reader::{RecoveredStream, RecoveryReport, TraceReader};
+pub use replay::{stream_file_name, TraceReplayer};
+pub use sink::SharedWriter;
+pub use writer::TraceWriter;

@@ -30,15 +30,15 @@ use crate::crc::crc32;
 use crate::format::TraceError;
 
 /// Manifest file magic (8 bytes; distinct from the trace's `KTRACE1\n`).
-pub const MANIFEST_MAGIC: &[u8; 8] = b"KTRACEM1";
+pub(crate) const MANIFEST_MAGIC: &[u8; 8] = b"KTRACEM1";
 
 /// Extension appended to the trace path: `foo.ktrace` →
 /// `foo.ktrace.manifest`.
-pub const MANIFEST_EXT: &str = "manifest";
+pub(crate) const MANIFEST_EXT: &str = "manifest";
 
 /// What a sealed segment promised: its exact durable geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// Sealed length of the trace file, bytes (header through ledger
     /// block inclusive). Bytes past this offset are post-seal garbage.
     pub file_len: u64,
@@ -50,7 +50,7 @@ pub struct Manifest {
 
 impl Manifest {
     /// Encoded size, bytes: magic(8) + 3×u64 + crc32(4).
-    pub const ENCODED_LEN: usize = 36;
+    pub(crate) const ENCODED_LEN: usize = 36;
 
     /// Encodes the manifest with its trailing CRC.
     pub fn encode(&self) -> Vec<u8> {
@@ -89,7 +89,7 @@ impl Manifest {
 
     /// The sidecar path for a trace file: the trace path with
     /// `.manifest` appended.
-    pub fn path_for(trace: &Path) -> PathBuf {
+    pub(crate) fn path_for(trace: &Path) -> PathBuf {
         let mut os = trace.as_os_str().to_os_string();
         os.push(".");
         os.push(MANIFEST_EXT);
@@ -105,7 +105,7 @@ impl Manifest {
     /// # Errors
     ///
     /// [`TraceError::Io`] if the write, sync or rename fails.
-    pub fn write_atomic(&self, trace: &Path) -> Result<(), TraceError> {
+    pub(crate) fn write_atomic(&self, trace: &Path) -> Result<(), TraceError> {
         let final_path = Self::path_for(trace);
         let mut tmp_os = final_path.as_os_str().to_os_string();
         tmp_os.push(".tmp");

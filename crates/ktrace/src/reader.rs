@@ -25,7 +25,6 @@ use crate::format::{
     BlockHeader, StreamLedger, StreamMeta, TraceError, BLOCK_HEADER_LEN, KIND_LEDGER, KIND_SAMPLES,
 };
 use kleb::Sample;
-use pmu::{HwEvent, NUM_FIXED};
 
 /// What a recovery pass saw. All counters are exact, never estimates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,68 +102,7 @@ impl RecoveredStream {
     }
 }
 
-/// Block-skipping predicate for filtered reads: a half-open time range
-/// plus an optional lane that must be active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadFilter {
-    /// Inclusive start, nanoseconds.
-    pub start_ns: u64,
-    /// Exclusive end, nanoseconds.
-    pub end_ns: u64,
-    /// Lane (0‥2 fixed, 3‥6 pmc) that must be nonzero somewhere in a
-    /// block for it to be read; `None` reads all lanes.
-    pub lane: Option<usize>,
-}
-
-impl ReadFilter {
-    /// Everything: all time, all lanes.
-    pub fn all() -> Self {
-        Self {
-            start_ns: 0,
-            end_ns: u64::MAX,
-            lane: None,
-        }
-    }
-
-    /// Restricts to `[start_ns, end_ns)`.
-    pub fn range(mut self, start_ns: u64, end_ns: u64) -> Self {
-        self.start_ns = start_ns;
-        self.end_ns = end_ns;
-        self
-    }
-
-    /// Requires lane `lane` to be active in a block.
-    pub fn lane(mut self, lane: usize) -> Self {
-        self.lane = Some(lane);
-        self
-    }
-
-    fn admits(&self, header: &BlockHeader) -> bool {
-        if header.max_ts < self.start_ns || header.min_ts >= self.end_ns {
-            return false;
-        }
-        match self.lane {
-            Some(lane) => header.lane_mask & (1u16 << lane) != 0,
-            None => true,
-        }
-    }
-}
-
-/// A filtered read's result: the matching samples plus proof the index
-/// did its job.
-#[derive(Debug, Clone)]
-pub struct FilteredRead {
-    /// Samples inside the filter's time range, from admitted blocks.
-    pub samples: Vec<Sample>,
-    /// Blocks whose payload was decoded.
-    pub blocks_read: u64,
-    /// Blocks skipped purely on their header index, payload untouched.
-    pub blocks_skipped: u64,
-    /// The recovery counters for the pass.
-    pub report: RecoveryReport,
-}
-
-/// A decoded trace held in memory, ready for repeated filtered reads.
+/// A trace image held in memory, ready for recovery reads.
 #[derive(Debug, Clone)]
 pub struct TraceReader {
     meta: StreamMeta,
@@ -175,7 +113,7 @@ pub struct TraceReader {
 impl TraceReader {
     /// Opens and validates `path`'s file header.
     ///
-    /// If a valid sidecar [`Manifest`](crate::Manifest) governs the
+    /// If a valid sidecar manifest governs the
     /// trace, the image is clipped to the manifest's sealed length
     /// first: bytes past the seal are post-crash garbage, not stream
     /// data, and must not reach the scanner. Without a manifest the
@@ -218,23 +156,12 @@ impl TraceReader {
         &self.meta
     }
 
-    /// The lane index (for [`ReadFilter::lane`]) carrying `event`, if it
-    /// was configured on this stream.
-    pub fn lane_of(&self, event: HwEvent) -> Option<usize> {
-        self.meta
-            .events
-            .iter()
-            .position(|&e| e == event)
-            .map(|i| NUM_FIXED + i)
-    }
-
     /// Recovers the whole stream (batch structure and ledger included).
     pub fn read_all(&self) -> RecoveredStream {
         let mut samples = Vec::new();
         let mut batch_lens = Vec::new();
         let mut ledger = None;
         let report = self.scan(
-            |_| true,
             |s, b| {
                 samples.extend_from_slice(s);
                 batch_lens.extend_from_slice(b);
@@ -250,49 +177,10 @@ impl TraceReader {
         }
     }
 
-    /// Reads only the samples admitted by `filter`, skipping
-    /// non-matching blocks via the header index without touching their
-    /// payloads.
-    pub fn read_filtered(&self, filter: &ReadFilter) -> FilteredRead {
-        let mut samples = Vec::new();
-        let mut blocks_read = 0u64;
-        let mut blocks_skipped = 0u64;
-        let mut ledger = None;
-        let report = self.scan(
-            |header| {
-                if filter.admits(header) {
-                    blocks_read += 1;
-                    true
-                } else {
-                    blocks_skipped += 1;
-                    false
-                }
-            },
-            |s, _| {
-                samples.extend(
-                    s.iter()
-                        .filter(|s| {
-                            s.timestamp_ns >= filter.start_ns && s.timestamp_ns < filter.end_ns
-                        })
-                        .copied(),
-                );
-            },
-            &mut ledger,
-        );
-        FilteredRead {
-            samples,
-            blocks_read,
-            blocks_skipped,
-            report,
-        }
-    }
-
-    /// The forward recovery scan shared by all reads. `admit` decides
-    /// per valid header whether to decode the payload; `emit` receives
-    /// each decoded block's samples and batch lengths.
+    /// The forward recovery scan behind [`TraceReader::read_all`]:
+    /// `emit` receives each decoded block's samples and batch lengths.
     fn scan(
         &self,
-        mut admit: impl FnMut(&BlockHeader) -> bool,
         mut emit: impl FnMut(&[Sample], &[u64]),
         ledger: &mut Option<StreamLedger>,
     ) -> RecoveryReport {
@@ -346,7 +234,7 @@ impl TraceReader {
                     if !payload_ok {
                         report.blocks_corrupt += 1;
                         report.samples_lost += header.count as u64;
-                    } else if admit(&header) {
+                    } else {
                         match decode_block(payload, header.count as usize) {
                             Some((samples, batch_lens)) => {
                                 report.blocks_ok += 1;
@@ -358,10 +246,6 @@ impl TraceReader {
                                 report.samples_lost += header.count as u64;
                             }
                         }
-                    } else {
-                        // Skipped by the index: present, just not wanted.
-                        report.blocks_ok += 1;
-                        report.samples_recovered += header.count as u64;
                     }
                 }
                 KIND_LEDGER => {
@@ -394,6 +278,7 @@ impl TraceReader {
 mod tests {
     use super::*;
     use crate::writer::TraceWriter;
+    use pmu::HwEvent;
 
     fn meta() -> StreamMeta {
         StreamMeta {
@@ -452,39 +337,6 @@ mod tests {
         // Batches reconstruct in order.
         let lens: Vec<usize> = rec.batches().map(|b| b.len()).collect();
         assert!(lens.iter().all(|&l| l == 16 || l == 4));
-    }
-
-    #[test]
-    fn range_filter_skips_blocks_via_index() {
-        let bytes = written(128, 32);
-        let reader = TraceReader::from_bytes(bytes).unwrap();
-        let filtered = reader.read_filtered(&ReadFilter::all().range(3_300_000, 6_500_000));
-        assert!(filtered.blocks_skipped >= 1, "index skipped whole blocks");
-        assert!(filtered
-            .samples
-            .iter()
-            .all(|s| (3_300_000..6_500_000).contains(&s.timestamp_ns)));
-        // Same answer as brute-force filtering of a full read.
-        let brute: Vec<Sample> = reader
-            .read_all()
-            .samples
-            .into_iter()
-            .filter(|s| (3_300_000..6_500_000).contains(&s.timestamp_ns))
-            .collect();
-        assert_eq!(filtered.samples, brute);
-    }
-
-    #[test]
-    fn lane_filter_skips_inactive_blocks() {
-        // pmc[1] only fires from sample 64 on; with 32-sample blocks the
-        // first two blocks are skippable by the lane index.
-        let bytes = written(128, 32);
-        let reader = TraceReader::from_bytes(bytes).unwrap();
-        let lane = reader.lane_of(HwEvent::LlcMiss).unwrap();
-        let filtered = reader.read_filtered(&ReadFilter::all().lane(lane));
-        assert!(filtered.blocks_skipped >= 2, "{filtered:?}");
-        assert!(filtered.samples.iter().all(|s| s.seq >= 64));
-        assert_eq!(reader.lane_of(HwEvent::ArithMul), None);
     }
 
     #[test]

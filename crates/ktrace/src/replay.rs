@@ -15,7 +15,7 @@ use crate::format::TraceError;
 use crate::reader::{RecoveredStream, TraceReader};
 
 /// Extension carried by trace segment files.
-pub const TRACE_EXT: &str = "ktrace";
+pub(crate) const TRACE_EXT: &str = "ktrace";
 
 /// Canonical file name for stream `index` labelled `label` — the writer
 /// (fleet persistence) and the replayer agree through this.

@@ -1,5 +1,5 @@
-//! Live-capture tee: a [`kleb::SampleSink`] that persists every drain
-//! batch to a [`TraceWriter`] while forwarding it to an inner sink.
+//! Live capture: a [`SharedWriter`] handle through which the drain path
+//! appends every batch to a [`TraceWriter`].
 //!
 //! The monitor's drain path must never block or die on storage trouble
 //! (the paper's whole point is not perturbing the target), so the tee
@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::format::{StreamLedger, TraceError};
 use crate::writer::TraceWriter;
-use kleb::{Sample, SampleSink};
+use kleb::Sample;
 
 #[derive(Debug)]
 struct SharedInner<W: Write> {
@@ -117,47 +117,6 @@ impl SharedWriter<std::fs::File> {
     }
 }
 
-/// [`SampleSink`] that tees drain batches to a [`SharedWriter`] and then
-/// forwards them to an optional inner sink.
-#[derive(Debug)]
-pub struct TeeSink<W: Write + Send + std::fmt::Debug> {
-    writer: SharedWriter<W>,
-    inner: Option<Box<dyn SampleSink>>,
-}
-
-impl<W: Write + Send + std::fmt::Debug> TeeSink<W> {
-    /// Tee that only records.
-    pub fn new(writer: SharedWriter<W>) -> Self {
-        Self {
-            writer,
-            inner: None,
-        }
-    }
-
-    /// Tee that records and forwards to `inner`.
-    pub fn tee(writer: SharedWriter<W>, inner: Box<dyn SampleSink>) -> Self {
-        Self {
-            writer,
-            inner: Some(inner),
-        }
-    }
-}
-
-impl<W: Write + Send + std::fmt::Debug> SampleSink for TeeSink<W> {
-    fn on_batch(&mut self, samples: &[Sample]) {
-        self.writer.append_batch(samples);
-        if let Some(inner) = self.inner.as_mut() {
-            inner.on_batch(samples);
-        }
-    }
-
-    fn on_complete(&mut self) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.on_complete();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,30 +138,6 @@ mod tests {
             seq: i,
             ..Sample::default()
         }
-    }
-
-    /// A sink that counts what it saw — stands in for the fleet channel.
-    #[derive(Debug, Default)]
-    struct Counter(Arc<Mutex<u64>>);
-
-    impl SampleSink for Counter {
-        fn on_batch(&mut self, samples: &[Sample]) {
-            *self.0.lock().unwrap_or_else(PoisonError::into_inner) += samples.len() as u64;
-        }
-    }
-
-    #[test]
-    fn tee_records_and_forwards() {
-        let shared = SharedWriter::new(TraceWriter::new(Vec::new(), &meta()).unwrap());
-        let seen = Arc::new(Mutex::new(0u64));
-        let mut sink = TeeSink::tee(shared.clone(), Box::new(Counter(Arc::clone(&seen))));
-        let batch: Vec<Sample> = (0..8).map(sample).collect();
-        sink.on_batch(&batch);
-        sink.on_batch(&batch[..3]);
-        sink.on_complete();
-        assert_eq!(*seen.lock().unwrap(), 11, "inner sink saw everything");
-        assert_eq!(shared.samples_written(), 11);
-        shared.finish(&StreamLedger::default()).unwrap();
     }
 
     /// A sink whose writes fail after a few bytes — storage going away
@@ -233,10 +168,9 @@ mod tests {
             .unwrap()
             .block_target(4);
         let shared = SharedWriter::new(writer);
-        let mut sink = TeeSink::new(shared.clone());
         for chunk in 0..4 {
             let batch: Vec<Sample> = (chunk * 4..chunk * 4 + 4).map(sample).collect();
-            sink.on_batch(&batch); // must not panic or propagate
+            shared.append_batch(&batch); // must not panic or propagate
         }
         let (batches, samples) = shared.dropped();
         assert!(batches >= 1, "post-error batches counted");
@@ -248,16 +182,15 @@ mod tests {
     }
 
     #[test]
-    fn tee_round_trips_through_reader() {
+    fn shared_writer_round_trips_through_reader() {
         let shared = SharedWriter::new(
             TraceWriter::new(Vec::new(), &meta())
                 .unwrap()
                 .block_target(8),
         );
-        let mut sink = TeeSink::new(shared.clone());
         for chunk in 0..5 {
             let batch: Vec<Sample> = (chunk * 7..chunk * 7 + 7).map(sample).collect();
-            sink.on_batch(&batch);
+            shared.append_batch(&batch);
         }
         shared
             .finish(&StreamLedger {
@@ -268,9 +201,8 @@ mod tests {
                 ..Default::default()
             })
             .unwrap();
-        // SharedWriter owns the sink; pull the bytes back out through
-        // the Arc now that we're the last holder.
-        drop(sink);
+        // Pull the bytes back out through the Arc: this is the last
+        // handle.
         let inner = Arc::try_unwrap(shared.0)
             .expect("last handle")
             .into_inner()

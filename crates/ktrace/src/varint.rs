@@ -7,11 +7,8 @@
 //! explicitly (`wrapping_*`): decoding attacker-shaped bytes must never
 //! overflow-panic.
 
-/// Maximum encoded length of a `u64` varint.
-pub const MAX_VARINT_LEN: usize = 10;
-
 /// Appends `v` as an LEB128 varint.
-pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8 & 0x7F) | 0x80);
         v >>= 7;
@@ -22,8 +19,8 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
 /// Reads an LEB128 varint at `*pos`, advancing it.
 ///
 /// Returns `None` on truncated input or a varint longer than
-/// [`MAX_VARINT_LEN`] bytes (corrupt data, not a valid encoding).
-pub fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+/// the 10 bytes a `u64` can need (corrupt data, not a valid encoding).
+pub(crate) fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -41,12 +38,12 @@ pub fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// Zigzag-folds a signed value so small magnitudes encode small.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -58,7 +55,7 @@ pub fn delta(a: u64, b: u64) -> i64 {
 }
 
 /// Inverse of [`delta`]: reconstructs `b` from `a` and the stored delta.
-pub fn apply_delta(a: u64, d: i64) -> u64 {
+pub(crate) fn apply_delta(a: u64, d: i64) -> u64 {
     a.wrapping_add(d as u64)
 }
 

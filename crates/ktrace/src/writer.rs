@@ -20,7 +20,7 @@ use crate::format::{BlockHeader, StreamLedger, StreamMeta, TraceError, KIND_LEDG
 use kleb::Sample;
 
 /// Default block flush threshold, samples.
-pub const DEFAULT_BLOCK_TARGET: usize = 512;
+pub(crate) const DEFAULT_BLOCK_TARGET: usize = 512;
 
 /// Streaming columnar writer over any [`Write`] sink.
 #[derive(Debug)]
@@ -70,11 +70,6 @@ impl<W: Write> TraceWriter<W> {
     /// Samples appended so far (flushed or pending).
     pub fn samples_written(&self) -> u64 {
         self.samples_written
-    }
-
-    /// Blocks flushed so far.
-    pub fn blocks_written(&self) -> u64 {
-        self.blocks_written
     }
 
     /// Appends one drain batch. Empty batches are ignored (the module
@@ -207,7 +202,7 @@ impl TraceWriter<std::fs::File> {
     }
 
     /// Crash-consistent seal: [`TraceWriter::finish`] + `fsync`, then
-    /// the sidecar [`Manifest`](crate::Manifest) written via temp file +
+    /// the sidecar manifest written via temp file +
     /// atomic rename. After this returns, a reader either sees the
     /// manifest governing the exact sealed byte length (and ignores any
     /// post-seal garbage) or — if the process died before the rename —
@@ -267,10 +262,10 @@ mod tests {
             w.append_batch(&batch).unwrap();
         }
         // 6 < 10 pending after batches 1, 3, 5; 12 ≥ 10 flushes after 2 and 4.
-        assert_eq!(w.blocks_written(), 2);
+        assert_eq!(w.blocks_written, 2);
         assert_eq!(w.samples_written(), 30);
         w.finish(&StreamLedger::default()).unwrap();
-        assert_eq!(w.blocks_written(), 4, "tail block + ledger");
+        assert_eq!(w.blocks_written, 4, "tail block + ledger");
     }
 
     #[test]
@@ -333,6 +328,6 @@ mod tests {
         w.append_batch(&[]).unwrap();
         assert_eq!(w.samples_written(), 0);
         w.finish(&StreamLedger::default()).unwrap();
-        assert_eq!(w.blocks_written(), 1, "just the ledger");
+        assert_eq!(w.blocks_written, 1, "just the ledger");
     }
 }

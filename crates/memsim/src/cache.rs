@@ -32,11 +32,6 @@ impl CacheConfig {
             ways,
         }
     }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.line_size as u64 * self.sets as u64 * self.ways as u64
-    }
 }
 
 /// Cumulative statistics for one cache level.
@@ -58,7 +53,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Miss ratio in `0.0..=1.0`; zero when no accesses occurred.
-    pub fn miss_ratio(&self) -> f64 {
+    pub(crate) fn miss_ratio(&self) -> f64 {
         if self.accesses == 0 {
             0.0
         } else {
@@ -139,11 +134,6 @@ impl Cache {
     /// Cumulative statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics without touching cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     #[inline]
@@ -253,7 +243,7 @@ impl Cache {
     /// Invalidates the line containing `addr` (the `clflush` primitive).
     ///
     /// Returns `true` if a line was present; dirty lines count a writeback.
-    pub fn flush_line(&mut self, addr: u64) -> bool {
+    pub(crate) fn flush_line(&mut self, addr: u64) -> bool {
         let (tag, set) = self.split(addr);
         for i in self.set_range(set) {
             let line = &mut self.lines[i];
@@ -295,11 +285,6 @@ mod tests {
     fn tiny() -> Cache {
         // 2 sets x 2 ways x 64B lines = 256 B.
         Cache::new(CacheConfig::new(64, 2, 2))
-    }
-
-    #[test]
-    fn capacity() {
-        assert_eq!(CacheConfig::new(64, 64, 8).capacity_bytes(), 32 * 1024);
     }
 
     #[test]

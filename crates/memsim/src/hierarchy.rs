@@ -1,6 +1,6 @@
 //! Three-level inclusive cache hierarchy with a latency model.
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig};
 
 /// Whether a memory access reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,24 +266,6 @@ impl Hierarchy {
     pub fn stats(&self) -> MemStats {
         self.stats
     }
-
-    /// Per-level raw statistics `(l1d, l2, llc)`.
-    pub fn level_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
-        (self.l1d.stats(), self.l2.stats(), self.llc.stats())
-    }
-
-    /// Resets statistics (cache contents retained).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
-        self.llc.reset_stats();
-    }
-
-    /// The latency model in use.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
 }
 
 #[cfg(test)]
@@ -378,8 +360,6 @@ mod tests {
         assert_eq!(s.accesses, 20);
         assert_eq!(s.llc_misses, 10);
         assert!(s.total_latency_cycles >= 10 * 200 + 10 * 4);
-        h.reset_stats();
-        assert_eq!(h.stats(), MemStats::default());
     }
 
     #[test]
@@ -389,16 +369,7 @@ mod tests {
         // Evict through L1 set (stride 512).
         h.access(0x0200, AccessKind::Write);
         h.access(0x0400, AccessKind::Write);
-        let (l1, _, _) = h.level_stats();
-        assert!(l1.writebacks >= 1);
-    }
-
-    #[test]
-    fn i7_920_capacities() {
-        let cfg = HierarchyConfig::i7_920();
-        assert_eq!(cfg.l1d.capacity_bytes(), 32 * 1024);
-        assert_eq!(cfg.l2.capacity_bytes(), 256 * 1024);
-        assert_eq!(cfg.llc.capacity_bytes(), 8 * 1024 * 1024);
+        assert!(h.l1d.stats().writebacks >= 1);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl Counter {
         assert!(period <= MASK, "sampling period must fit in 48 bits");
         self.value = (MASK + 1) - period;
     }
-
-    /// Occurrences remaining until the next overflow.
-    pub const fn until_overflow(&self) -> u64 {
-        MASK + 1 - self.value
-    }
 }
 
 #[cfg(test)]
@@ -106,12 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn preload_then_until_overflow() {
+    fn preload_overflows_after_one_period() {
         let mut c = Counter::new();
         c.preload_for_period(1000);
-        assert_eq!(c.until_overflow(), 1000);
         assert_eq!(c.add(999), 0);
-        assert_eq!(c.until_overflow(), 1);
         assert_eq!(c.add(1), 1);
     }
 

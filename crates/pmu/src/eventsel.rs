@@ -19,7 +19,6 @@ const OS_BIT: u64 = 1 << 17;
 const EDGE_BIT: u64 = 1 << 18;
 const INT_BIT: u64 = 1 << 20;
 const EN_BIT: u64 = 1 << 22;
-const INV_BIT: u64 = 1 << 23;
 
 /// A decoded view of one event-select register.
 ///
@@ -111,16 +110,6 @@ impl EventSel {
         self.set(EN_BIT, on)
     }
 
-    /// Sets the INV bit.
-    pub fn invert(self, on: bool) -> Self {
-        self.set(INV_BIT, on)
-    }
-
-    /// Sets the 8-bit counter mask.
-    pub fn cmask(self, mask: u8) -> Self {
-        Self((self.0 & !(0xFFu64 << 24)) | ((mask as u64) << 24))
-    }
-
     /// True if the EN bit is set.
     pub const fn is_enabled(self) -> bool {
         self.0 & EN_BIT != 0
@@ -137,12 +126,12 @@ impl EventSel {
     }
 
     /// True if the INT bit is set.
-    pub const fn int_enabled(self) -> bool {
+    pub(crate) const fn int_enabled(self) -> bool {
         self.0 & INT_BIT != 0
     }
 
     /// Whether this select counts events at `privilege`.
-    pub const fn counts_at(self, privilege: Privilege) -> bool {
+    pub(crate) const fn counts_at(self, privilege: Privilege) -> bool {
         match privilege {
             Privilege::User => self.counts_user(),
             Privilege::Kernel => self.counts_os(),
@@ -187,17 +176,10 @@ mod tests {
         let sel = EventSel::for_event(HwEvent::BranchRetired)
             .usr(true)
             .os(true)
-            .enabled(true)
-            .cmask(3);
+            .enabled(true);
         let back = EventSel::from_bits(sel.bits());
         assert_eq!(back, sel);
         assert_eq!(back.event(), Some(HwEvent::BranchRetired));
-    }
-
-    #[test]
-    fn cmask_replaces_not_ors() {
-        let sel = EventSel::new().cmask(0xFF).cmask(0x01);
-        assert_eq!((sel.bits() >> 24) & 0xFF, 0x01);
     }
 
     #[test]

@@ -48,17 +48,17 @@
 //! # Ok::<(), pmu::PmuError>(())
 //! ```
 
-pub mod counter;
+mod counter;
 pub mod event;
-pub mod eventsel;
+mod eventsel;
 pub mod msr;
-pub mod multiplex;
-pub mod protocol;
+mod multiplex;
+mod protocol;
 mod unit;
 
 pub use counter::{Counter, COUNTER_WIDTH_BITS};
-pub use event::{EventCode, EventCounts, HwEvent, Privilege, ALL_EVENTS, N_EVENTS};
+pub use event::{EventCode, EventCounts, HwEvent, Privilege, ALL_EVENTS};
 pub use eventsel::EventSel;
 pub use multiplex::{MultiplexEstimate, Multiplexer};
-pub use protocol::{ProtocolChecker, ProtocolViolation};
+pub use protocol::ProtocolViolation;
 pub use unit::{Pmu, PmuError, PmuSnapshot, NUM_FIXED, NUM_PROGRAMMABLE};

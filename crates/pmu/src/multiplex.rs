@@ -91,11 +91,6 @@ impl Multiplexer {
         self.order.len().div_ceil(self.width)
     }
 
-    /// True when every requested event fits on the counters simultaneously.
-    pub fn is_exact(&self) -> bool {
-        self.group_count() == 1
-    }
-
     /// Request-order index of the first event in the current group.
     fn group_start(&self) -> usize {
         self.current * self.width
@@ -180,7 +175,7 @@ mod tests {
     #[test]
     fn no_multiplexing_when_events_fit() {
         let mut mux = Multiplexer::new(vec![HwEvent::Load, HwEvent::Store], 4);
-        assert!(mux.is_exact());
+        assert_eq!(mux.group_count(), 1);
         mux.record_and_rotate(1000, &[10, 20]);
         mux.record_and_rotate(1000, &[5, 5]);
         let est = mux.estimates();

@@ -86,7 +86,7 @@ impl fmt::Display for ProtocolViolation {
 /// Tracks the MSR access trace of one PMU and records protocol
 /// violations. See the [module documentation](self) for the rule set.
 #[derive(Debug, Clone, Default)]
-pub struct ProtocolChecker {
+pub(crate) struct ProtocolChecker {
     /// Event select programmed with a valid event and its EN bit.
     selected_pmc: [bool; NUM_PROGRAMMABLE],
     /// Fixed-control field has at least one ring-enable bit.

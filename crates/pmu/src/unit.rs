@@ -51,24 +51,6 @@ pub struct PmuSnapshot {
     pub fixed: [u64; NUM_FIXED],
 }
 
-impl PmuSnapshot {
-    /// Per-counter difference `self - earlier`, wrapping at 48 bits, which is
-    /// how tools turn two snapshots into an interval count.
-    pub fn delta_since(&self, earlier: &PmuSnapshot) -> PmuSnapshot {
-        let wrap = |now: u64, then: u64| {
-            now.wrapping_sub(then) & ((1u64 << crate::COUNTER_WIDTH_BITS) - 1)
-        };
-        let mut out = PmuSnapshot::default();
-        for i in 0..NUM_PROGRAMMABLE {
-            out.pmc[i] = wrap(self.pmc[i], earlier.pmc[i]);
-        }
-        for i in 0..NUM_FIXED {
-            out.fixed[i] = wrap(self.fixed[i], earlier.fixed[i]);
-        }
-        out
-    }
-}
-
 /// The PMU for one simulated core.
 ///
 /// See the [crate-level documentation](crate) for an overview and example.
@@ -114,7 +96,7 @@ impl Pmu {
         }
     }
 
-    /// Attaches a [`ProtocolChecker`] that validates every subsequent MSR
+    /// Attaches a `ProtocolChecker` that validates every subsequent MSR
     /// access against the SDM programming protocol.
     pub fn enable_protocol_checker(&mut self) {
         self.checker = Some(RefCell::new(ProtocolChecker::new()));
@@ -233,15 +215,6 @@ impl Pmu {
         snap
     }
 
-    /// The event-select currently programmed on programmable counter `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= NUM_PROGRAMMABLE`.
-    pub fn eventsel(&self, n: usize) -> EventSel {
-        self.evtsel[n]
-    }
-
     fn pmc_active(&self, n: usize) -> bool {
         self.evtsel[n].is_enabled() && (self.global_ctrl & msr::global_ctrl_pmc_bit(n)) != 0
     }
@@ -331,16 +304,6 @@ impl Pmu {
     /// `IA32_PERF_GLOBAL_OVF_CTRL`, exactly as on hardware.
     pub fn take_pmi(&mut self) -> bool {
         std::mem::take(&mut self.pmi_pending)
-    }
-
-    /// True if a PMI is pending (without consuming it).
-    pub fn pmi_pending(&self) -> bool {
-        self.pmi_pending
-    }
-
-    /// Overflow status bits (`IA32_PERF_GLOBAL_STATUS`).
-    pub fn global_status(&self) -> u64 {
-        self.global_status
     }
 
     /// Ground truth: all events observed at `privilege` since power-on.
@@ -479,16 +442,16 @@ mod tests {
         let preload = (1u64 << 48) - 100;
         pmu.wrmsr(msr::IA32_PMC0, preload).unwrap();
         pmu.observe(&batch(HwEvent::InstructionsRetired, 99), Privilege::User);
-        assert!(!pmu.pmi_pending());
+        assert!(!pmu.pmi_pending);
         pmu.observe(&batch(HwEvent::InstructionsRetired, 1), Privilege::User);
-        assert!(pmu.pmi_pending());
-        assert_eq!(pmu.global_status() & 1, 1);
+        assert!(pmu.pmi_pending);
+        assert_eq!(pmu.global_status & 1, 1);
         assert!(pmu.take_pmi());
         assert!(!pmu.take_pmi(), "take_pmi consumes the pending flag");
         // Status persists until cleared via OVF_CTRL.
-        assert_eq!(pmu.global_status() & 1, 1);
+        assert_eq!(pmu.global_status & 1, 1);
         pmu.wrmsr(msr::IA32_PERF_GLOBAL_OVF_CTRL, 1).unwrap();
-        assert_eq!(pmu.global_status(), 0);
+        assert_eq!(pmu.global_status, 0);
     }
 
     #[test]
@@ -499,8 +462,8 @@ mod tests {
         pmu.wrmsr(msr::IA32_PERF_GLOBAL_CTRL, 1).unwrap();
         pmu.wrmsr(msr::IA32_PMC0, (1u64 << 48) - 1).unwrap();
         pmu.observe(&batch(HwEvent::Load, 2), Privilege::User);
-        assert_eq!(pmu.global_status() & 1, 1);
-        assert!(!pmu.pmi_pending());
+        assert_eq!(pmu.global_status & 1, 1);
+        assert!(!pmu.pmi_pending);
     }
 
     #[test]
@@ -519,16 +482,7 @@ mod tests {
         let before = pmu.snapshot();
         pmu.observe(&batch(HwEvent::BranchRetired, 123), Privilege::User);
         let after = pmu.snapshot();
-        assert_eq!(after.delta_since(&before).pmc[1], 123);
-    }
-
-    #[test]
-    fn snapshot_delta_handles_wrap() {
-        let mut a = PmuSnapshot::default();
-        let mut b = PmuSnapshot::default();
-        a.pmc[0] = (1u64 << 48) - 10;
-        b.pmc[0] = 5; // wrapped past zero
-        assert_eq!(b.delta_since(&a).pmc[0], 15);
+        assert_eq!(after.pmc[1] - before.pmc[1], 123);
     }
 
     #[test]

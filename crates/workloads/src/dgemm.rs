@@ -67,11 +67,6 @@ impl Dgemm {
         Self::new(1600, seed, 0.004)
     }
 
-    /// A fast variant for tests (~2 ms).
-    pub fn small(seed: u64) -> Self {
-        Self::new(440, seed, 0.004)
-    }
-
     /// Total floating-point operations: `2 n^3`.
     pub fn flops(&self) -> u64 {
         2 * self.n * self.n * self.n

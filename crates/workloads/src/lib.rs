@@ -13,19 +13,19 @@
 //!   overhead study (Table II, Fig. 8);
 //! - [`Dgemm`]: the Intel-MKL-like blocked multiply with ~20× shorter
 //!   runtime, which amplifies fixed tool costs (Table III);
-//! - [`docker`]: nine container workload models spanning the MPKI spectrum
+//! - `docker`: nine container workload models spanning the MPKI spectrum
 //!   of Fig. 5, each running as a parent "container runtime" that forks the
 //!   service process (exercising K-LEB's child tracking);
 //! - [`MeltdownAttack`]/[`SecretPrinter`]: a victim secret-printer and a Flush+Reload Meltdown
 //!   attacker that genuinely recovers the secret from simulated cache
 //!   timing (Figs. 6-7);
 //! - [`HeartbleedServer`]: a TLS server with a data-only over-read exploit
-//!   (the paper's reference [26] motivation — control flow identical,
+//!   (the paper's reference \[26\] motivation — control flow identical,
 //!   data footprint not);
 //! - [`Synthetic`]: a fully tunable event generator for ablations.
 
 mod dgemm;
-pub mod docker;
+mod docker;
 mod heartbleed;
 mod linpack;
 mod matmul;

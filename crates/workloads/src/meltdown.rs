@@ -136,7 +136,7 @@ impl MeltdownAttack {
 
     /// `repeats` prints of the secret, with a Flush+Reload recovery round
     /// before every `attack_interval`-th print.
-    pub fn with_repeats(repeats: u64, attack_interval: u64, seed: u64) -> Self {
+    pub(crate) fn with_repeats(repeats: u64, attack_interval: u64, seed: u64) -> Self {
         assert!(attack_interval > 0);
         Self {
             repeats,

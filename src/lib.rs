@@ -13,7 +13,7 @@
 //! - [`baselines`] — perf stat / perf record / PAPI / LiMiT;
 //! - [`analysis`] — statistics, metrics, phase/anomaly detection;
 //! - [`fleet`] — many monitors, one collector: the scaled-out pipeline,
-//!   supervision, and the closed-loop sampling-rate [`fleet::governor`];
+//!   supervision, and the closed-loop sampling-rate `fleet::governor`;
 //! - [`ktrace`] — columnar trace store with deterministic record/replay;
 //! - [`kchan`] — the lock-free SPSC sample rings under the fleet ingest.
 //!
