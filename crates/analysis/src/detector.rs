@@ -31,7 +31,7 @@ impl Detection {
 /// control band (an EWMA control chart).
 ///
 /// ```
-/// use analysis::detector::EwmaDetector;
+/// use analysis::EwmaDetector;
 ///
 /// let mut d = EwmaDetector::new(0.2, 4.0, 8);
 /// for _ in 0..20 {
@@ -73,11 +73,6 @@ impl EwmaDetector {
     /// smoothing, a 5-sigma band, 16 warmup samples.
     pub fn for_counter_series() -> Self {
         Self::new(0.15, 5.0, 16)
-    }
-
-    /// Current baseline estimate.
-    pub fn mean(&self) -> f64 {
-        self.mean
     }
 
     /// Feeds one sample; returns its verdict. Anomalous samples do **not**
@@ -137,13 +132,13 @@ mod tests {
         for _ in 0..50 {
             assert!(!d.update(100.0).is_anomalous());
         }
-        let baseline = d.mean();
+        let baseline = d.mean;
         match d.update(10_000.0) {
             Detection::Anomalous { score } => assert!(score > 1.0),
             other => panic!("expected anomaly, got {other:?}"),
         }
         // Anomalies do not poison the baseline.
-        assert_eq!(d.mean(), baseline);
+        assert_eq!(d.mean, baseline);
         assert!(!d.update(100.0).is_anomalous());
     }
 

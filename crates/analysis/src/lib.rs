@@ -2,7 +2,7 @@
 //! derived metrics (MPKI, GFLOPS, overhead), phase detection on sample time
 //! series, and text rendering of the paper's tables and figures.
 
-pub mod detector;
+mod detector;
 mod metrics;
 pub mod phases;
 mod stats;
@@ -14,6 +14,6 @@ pub use metrics::{
     gflops, mpki, overhead_proxy, performance_loss_percent, sample_coverage, IntensityClass,
 };
 pub use phases::{detect_phases, Phase, PhaseKind};
-pub use stats::{five_number, mean, median, percentile, robust_z, stddev, FiveNumber};
+pub use stats::{five_number, mean, percentile, robust_z, stddev, FiveNumber};
 pub use table::TextTable;
 pub use timeseries::{downsample, sparkline};

@@ -31,7 +31,7 @@ impl IntensityClass {
     }
 
     /// Short label as used in experiment output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             IntensityClass::ComputationIntensive => "computation-intensive",
             IntensityClass::MemoryIntensive => "memory-intensive",

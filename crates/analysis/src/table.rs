@@ -50,16 +50,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns, a header underline, and two spaces of
     /// separation.
     pub fn render(&self) -> String {
@@ -122,13 +112,5 @@ mod tests {
     #[should_panic]
     fn wrong_arity_panics() {
         TextTable::new(&["a", "b"]).row(&["only one"]);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut t = TextTable::new(&["x"]);
-        assert!(t.is_empty());
-        t.row(&["1"]).row(&["2"]);
-        assert_eq!(t.len(), 2);
     }
 }

@@ -90,7 +90,7 @@ pub(crate) struct LimitKernel {
 
 impl LimitKernel {
     /// A fresh (patched-in) instance.
-    pub fn new(costs: LimitCosts) -> Self {
+    pub(crate) fn new(costs: LimitCosts) -> Self {
         Self {
             costs,
             session: None,

@@ -148,7 +148,7 @@ pub(crate) struct PerfEventKernel {
 
 impl PerfEventKernel {
     /// A fresh instance with `costs`.
-    pub fn new(costs: PerfKernelCosts) -> Self {
+    pub(crate) fn new(costs: PerfKernelCosts) -> Self {
         Self {
             costs,
             session: None,

@@ -146,7 +146,7 @@ pub(crate) struct PerfRecordModule {
 
 impl PerfRecordModule {
     /// A fresh instance.
-    pub fn new(costs: PerfRecordCosts) -> Self {
+    pub(crate) fn new(costs: PerfRecordCosts) -> Self {
         Self {
             costs,
             session: None,

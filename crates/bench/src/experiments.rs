@@ -757,7 +757,7 @@ pub struct TwoPhase {
 
 impl TwoPhase {
     /// `blocks_per_phase` blocks of each phase.
-    pub fn new(blocks_per_phase: u64, seed: u64) -> Self {
+    pub(crate) fn new(blocks_per_phase: u64, seed: u64) -> Self {
         Self {
             blocks_per_phase,
             emitted: 0,

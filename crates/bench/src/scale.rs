@@ -2,7 +2,7 @@
 
 /// Problem sizes and trial counts for the experiment suite.
 ///
-/// [`Scale::paper`] matches the paper's setup (n = 5000 LINPACK, 100-run
+/// `Scale::paper` matches the paper's setup (n = 5000 LINPACK, 100-run
 /// overhead studies) and takes minutes; [`Scale::default_run`] keeps every
 /// qualitative property at ~10× less wall time and is what the binaries use
 /// unless `--full` is passed; [`Scale::quick`] is for integration tests.
@@ -28,7 +28,7 @@ pub struct Scale {
 
 impl Scale {
     /// The paper's configuration.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             linpack_n: 5000,
             linpack_trials: 10,

@@ -26,7 +26,7 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A clock whose origin is "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             // The one sanctioned wall-clock read in the crate: every other
             // timing value derives from an injected Clock.

@@ -36,9 +36,6 @@ pub struct GovernorPolicy {
     /// Per-machine period ceiling as a multiple of its allocated base
     /// (both for the allocator and for the live AIMD loop).
     pub max_period_factor: u32,
-    /// Per-poll drop delta that counts as pressure (strictly greater;
-    /// 0 means any drop is pressure).
-    pub drop_threshold: u64,
     /// Ring occupancy that counts as pressure, percent of capacity.
     pub depth_threshold_pct: u32,
     /// Consecutive calm polls before the live loop creeps the period
@@ -54,7 +51,6 @@ impl GovernorPolicy {
         Self {
             budget_samples_per_sec: 0,
             max_period_factor: 16,
-            drop_threshold: 0,
             depth_threshold_pct: 75,
             hysteresis: 3,
         }
@@ -71,12 +67,6 @@ impl GovernorPolicy {
     /// period; min 1).
     pub fn max_period_factor(mut self, factor: u32) -> Self {
         self.max_period_factor = factor.max(1);
-        self
-    }
-
-    /// Sets the drop-delta pressure threshold.
-    pub fn drop_threshold(mut self, drops: u64) -> Self {
-        self.drop_threshold = drops;
         self
     }
 
@@ -97,7 +87,6 @@ impl GovernorPolicy {
     pub(crate) fn rate_policy(&self, base_period_ns: u64) -> RatePolicy {
         RatePolicy::new(base_period_ns)
             .max_period(base_period_ns.saturating_mul(u64::from(self.max_period_factor.max(1))))
-            .drop_threshold(self.drop_threshold)
             .depth_threshold_pct(self.depth_threshold_pct)
             .hysteresis(self.hysteresis)
     }
@@ -225,13 +214,11 @@ mod tests {
     fn derived_rate_policy_matches_the_fleet_knobs() {
         let policy = GovernorPolicy::new()
             .max_period_factor(8)
-            .drop_threshold(5)
             .depth_threshold_pct(50)
             .hysteresis(2);
         let rp = policy.rate_policy(200_000);
         assert_eq!(rp.base_period_ns, 200_000);
         assert_eq!(rp.max_period_ns, 1_600_000);
-        assert_eq!(rp.drop_threshold, 5);
         assert_eq!(rp.depth_threshold_pct, 50);
         assert_eq!(rp.hysteresis, 2);
     }

@@ -173,7 +173,7 @@ impl FleetConfig {
     /// i7-920-class machines, lossless backpressure, 64Ki-sample rings,
     /// 64Ki-point shards, no faults, no governor. Use
     /// [`FleetConfig::builder`] to override anything.
-    pub fn new(events: &[HwEvent], period: Duration) -> Self {
+    pub(crate) fn new(events: &[HwEvent], period: Duration) -> Self {
         Self {
             events: events.to_vec(),
             period,
@@ -190,7 +190,7 @@ impl FleetConfig {
         }
     }
 
-    /// Starts a builder from the defaults of [`FleetConfig::new`].
+    /// Starts a builder from the defaults of `FleetConfig::new`.
     pub fn builder(events: &[HwEvent], period: Duration) -> FleetConfigBuilder {
         FleetConfigBuilder {
             config: FleetConfig::new(events, period),

@@ -34,8 +34,6 @@ pub enum Lane {
 impl Lane {
     /// The instructions-retired lane (fixed counter 0).
     pub const INSTRUCTIONS: Lane = Lane::Fixed(0);
-    /// The core-cycles lane (fixed counter 1).
-    pub const CORE_CYCLES: Lane = Lane::Fixed(1);
 }
 
 /// One stored point: a per-period counter delta at its sample time.
@@ -63,11 +61,6 @@ impl Window {
             start_ns: 0,
             end_ns: u64::MAX,
         }
-    }
-
-    /// Whether `t` falls inside the window.
-    pub fn contains(&self, t: u64) -> bool {
-        t >= self.start_ns && t < self.end_ns
     }
 }
 
@@ -167,13 +160,8 @@ impl FleetStore {
     }
 
     /// Number of machine streams.
-    pub fn machines(&self) -> usize {
+    pub(crate) fn machines(&self) -> usize {
         self.machines
-    }
-
-    /// The programmed events, in `Lane::Pmc` index order.
-    pub fn events(&self) -> &[HwEvent] {
-        &self.events
     }
 
     /// The `Lane::Pmc` lane for `event`, if it was configured.
@@ -420,7 +408,7 @@ mod tests {
                 };
                 let naive: u64 = s
                     .points(0, Lane::INSTRUCTIONS)
-                    .filter(|p| w.contains(p.timestamp_ns))
+                    .filter(|p| (w.start_ns..w.end_ns).contains(&p.timestamp_ns))
                     .map(|p| p.delta)
                     .sum();
                 assert_eq!(

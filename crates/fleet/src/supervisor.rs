@@ -118,7 +118,7 @@ pub enum BreakerState {
 
 impl BreakerState {
     /// Stable wire tag, as persisted in [`ktrace::StreamHealth`].
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             BreakerState::Closed => 0,
             BreakerState::Open => 1,
@@ -157,7 +157,7 @@ pub(crate) struct CircuitBreaker {
 impl CircuitBreaker {
     /// A closed breaker tripping after `threshold` consecutive failures
     /// (min 1), cooling down for `cooldown_ns` once open.
-    pub fn new(threshold: u32, cooldown_ns: u64) -> Self {
+    pub(crate) fn new(threshold: u32, cooldown_ns: u64) -> Self {
         Self {
             state: BreakerState::Closed,
             threshold: threshold.max(1),
@@ -172,7 +172,7 @@ impl CircuitBreaker {
     /// admits nothing until the cooldown elapses, then transitions to
     /// HalfOpen and admits the single probe; HalfOpen refuses further
     /// requests while the probe is outstanding.
-    pub fn allow(&mut self, now_ns: u64) -> bool {
+    pub(crate) fn allow(&mut self, now_ns: u64) -> bool {
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
@@ -212,12 +212,12 @@ impl CircuitBreaker {
     }
 
     /// Current position.
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
     /// Times the breaker has tripped open.
-    pub fn trips(&self) -> u8 {
+    pub(crate) fn trips(&self) -> u8 {
         self.trips
     }
 }
@@ -318,7 +318,7 @@ impl HealthReport {
 
     /// One-word-ish status for tables and logs: `healthy`,
     /// `restarted(n)`, `degraded`, or `failed`.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         if self.failed {
             "failed".to_string()
         } else if self.restarts > 0 {

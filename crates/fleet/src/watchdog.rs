@@ -16,25 +16,6 @@
 //! every transition is unit-testable with synthetic timestamps and the
 //! collector can drive it from whatever [`crate::Clock`] it was given.
 
-/// A liveness transition the watchdog detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WatchdogEvent {
-    /// A stream exceeded the stall timeout and was quarantined.
-    Stalled {
-        /// The silent stream's index.
-        stream: usize,
-        /// How long it had been silent when the scan caught it, ns.
-        silent_ns: u64,
-    },
-    /// A quarantined stream produced a batch and was resumed.
-    Resumed {
-        /// The recovering stream's index.
-        stream: usize,
-        /// How long it spent quarantined, ns.
-        quarantined_ns: u64,
-    },
-}
-
 /// Per-stream liveness state.
 #[derive(Debug, Clone, Copy)]
 struct StreamState {
@@ -63,7 +44,7 @@ impl StreamWatchdog {
     /// # Panics
     ///
     /// Panics if `streams == 0` or `stall_timeout_ns == 0`.
-    pub fn new(streams: usize, stall_timeout_ns: u64, now_ns: u64) -> Self {
+    pub(crate) fn new(streams: usize, stall_timeout_ns: u64, now_ns: u64) -> Self {
         assert!(streams > 0, "need at least one stream");
         assert!(stall_timeout_ns > 0, "stall timeout must be non-zero");
         Self {
@@ -82,17 +63,13 @@ impl StreamWatchdog {
     }
 
     /// Records a batch arrival on `stream` at `now_ns`. If the stream was
-    /// quarantined, it is resumed and the closing [`WatchdogEvent::Resumed`]
-    /// is returned.
-    pub fn observe(&mut self, stream: usize, now_ns: u64) -> Option<WatchdogEvent> {
+    /// quarantined, it is resumed and the episode is closed.
+    pub(crate) fn observe(&mut self, stream: usize, now_ns: u64) {
         let s = &mut self.streams[stream];
         s.last_seen_ns = s.last_seen_ns.max(now_ns);
-        let since = s.quarantined_since.take()?;
-        s.resumes += 1;
-        Some(WatchdogEvent::Resumed {
-            stream,
-            quarantined_ns: now_ns.saturating_sub(since),
-        })
+        if s.quarantined_since.take().is_some() {
+            s.resumes += 1;
+        }
     }
 
     /// Marks `stream` finished (its final sample was drained): it is
@@ -102,30 +79,22 @@ impl StreamWatchdog {
     }
 
     /// Checks every live stream against the stall timeout at `now_ns`,
-    /// quarantining the newly-silent ones. Returns one
-    /// [`WatchdogEvent::Stalled`] per new quarantine (already-quarantined
-    /// and done streams stay quiet).
-    pub fn scan(&mut self, now_ns: u64) -> Vec<WatchdogEvent> {
-        let mut events = Vec::new();
-        for (i, s) in self.streams.iter_mut().enumerate() {
+    /// quarantining the newly-silent ones (already-quarantined and done
+    /// streams stay quiet).
+    pub(crate) fn scan(&mut self, now_ns: u64) {
+        for s in &mut self.streams {
             if s.done || s.quarantined_since.is_some() {
                 continue;
             }
-            let silent_ns = now_ns.saturating_sub(s.last_seen_ns);
-            if silent_ns > self.stall_timeout_ns {
+            if now_ns.saturating_sub(s.last_seen_ns) > self.stall_timeout_ns {
                 s.quarantined_since = Some(now_ns);
                 s.stalls += 1;
-                events.push(WatchdogEvent::Stalled {
-                    stream: i,
-                    silent_ns,
-                });
             }
         }
-        events
     }
 
     /// Indices of the streams currently quarantined.
-    pub fn quarantined(&self) -> Vec<usize> {
+    pub(crate) fn quarantined(&self) -> Vec<usize> {
         self.streams
             .iter()
             .enumerate()
@@ -135,7 +104,7 @@ impl StreamWatchdog {
     }
 
     /// Snapshot of per-stream stall accounting.
-    pub fn report(&self) -> WatchdogReport {
+    pub(crate) fn report(&self) -> WatchdogReport {
         WatchdogReport {
             stalls: self.streams.iter().map(|s| s.stalls).collect(),
             resumes: self.streams.iter().map(|s| s.resumes).collect(),
@@ -200,12 +169,14 @@ mod tests {
         let mut w = StreamWatchdog::new(3, TIMEOUT, 0);
         for t in (100..=2_000).step_by(100) {
             for s in 0..3 {
-                assert_eq!(w.observe(s, t), None);
+                w.observe(s, t);
             }
-            assert!(w.scan(t).is_empty());
+            w.scan(t);
+            assert!(w.quarantined().is_empty());
         }
         let r = w.report();
         assert_eq!(r.total_stalls(), 0);
+        assert_eq!(r.total_resumes(), 0);
         assert!(r.all_recovered());
     }
 
@@ -215,30 +186,22 @@ mod tests {
         w.observe(0, 500);
         // Stream 1 says nothing; stream 0 keeps reporting.
         w.observe(0, 1_400);
-        let events = w.scan(1_500);
-        assert_eq!(
-            events,
-            vec![WatchdogEvent::Stalled {
-                stream: 1,
-                silent_ns: 1_500,
-            }]
-        );
+        w.scan(1_500);
         assert_eq!(w.quarantined(), vec![1]);
+        assert_eq!(w.report().stalls, vec![0, 1]);
         // Re-scanning does not re-alarm the same episode.
-        assert!(w.scan(2_000).is_empty());
+        w.scan(2_000);
+        assert_eq!(w.report().stalls, vec![0, 1]);
         // The stream comes back: one resume closes the episode.
-        assert_eq!(
-            w.observe(1, 2_500),
-            Some(WatchdogEvent::Resumed {
-                stream: 1,
-                quarantined_ns: 1_000,
-            })
-        );
+        w.observe(1, 2_500);
         assert!(w.quarantined().is_empty());
         let r = w.report();
         assert_eq!(r.stalls, vec![0, 1]);
         assert_eq!(r.resumes, vec![0, 1]);
         assert!(r.all_recovered());
+        // A batch from a stream that was never quarantined resumes nothing.
+        w.observe(0, 2_600);
+        assert_eq!(w.report().resumes, vec![0, 1]);
     }
 
     #[test]
@@ -247,12 +210,11 @@ mod tests {
         let mut t = 0;
         for _ in 0..3 {
             t += 2_000;
-            assert_eq!(w.scan(t).len(), 1);
+            w.scan(t);
+            assert_eq!(w.quarantined(), vec![0]);
             t += 100;
-            assert!(matches!(
-                w.observe(0, t),
-                Some(WatchdogEvent::Resumed { stream: 0, .. })
-            ));
+            w.observe(0, t);
+            assert!(w.quarantined().is_empty());
         }
         assert_eq!(w.report().stalls, vec![3]);
         assert_eq!(w.report().resumes, vec![3]);
@@ -262,15 +224,15 @@ mod tests {
     fn done_streams_are_exempt() {
         let mut w = StreamWatchdog::new(2, TIMEOUT, 0);
         w.mark_done(0);
-        let events = w.scan(10_000);
-        assert_eq!(events.len(), 1, "only the live stream alarms");
-        assert_eq!(w.quarantined(), vec![1]);
+        w.scan(10_000);
+        assert_eq!(w.quarantined(), vec![1], "only the live stream alarms");
+        assert_eq!(w.report().stalls, vec![0, 1]);
     }
 
     #[test]
     fn unrecovered_stream_shows_in_report() {
         let mut w = StreamWatchdog::new(1, TIMEOUT, 0);
-        assert_eq!(w.scan(5_000).len(), 1);
+        w.scan(5_000);
         let r = w.report();
         assert!(!r.all_recovered());
         assert_eq!(r.quarantined_at_end, vec![0]);
@@ -281,8 +243,10 @@ mod tests {
     #[test]
     fn exactly_at_timeout_is_not_a_stall() {
         let mut w = StreamWatchdog::new(1, TIMEOUT, 0);
-        assert!(w.scan(TIMEOUT).is_empty(), "strictly-greater threshold");
-        assert_eq!(w.scan(TIMEOUT + 1).len(), 1);
+        w.scan(TIMEOUT);
+        assert!(w.quarantined().is_empty(), "strictly-greater threshold");
+        w.scan(TIMEOUT + 1);
+        assert_eq!(w.quarantined(), vec![0]);
     }
 
     #[test]
@@ -291,6 +255,7 @@ mod tests {
         w.observe(0, 5_000);
         // An out-of-order (older) observation must not reopen the window.
         w.observe(0, 100);
-        assert!(w.scan(5_500).is_empty());
+        w.scan(5_500);
+        assert!(w.quarantined().is_empty());
     }
 }

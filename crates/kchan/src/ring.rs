@@ -215,16 +215,6 @@ impl<T: Copy + Send> Producer<T> {
         self.shared.dropped.store(self.dropped, Ordering::Release);
     }
 
-    /// Items accepted into the ring so far.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Items charged as dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Publishes end-of-stream early: final ledger flush, then the done
     /// flag; the release store of `done` makes both visible to the
     /// consumer's acquire load. Idempotent — dropping the producer calls
@@ -256,11 +246,6 @@ pub struct Consumer<T: Copy + Send> {
 }
 
 impl<T: Copy + Send> Consumer<T> {
-    /// Slot capacity of the ring.
-    pub fn capacity(&self) -> usize {
-        self.shared.mask + 1
-    }
-
     /// Items currently queued (refreshes the cached producer index).
     pub fn len(&mut self) -> usize {
         // Ordering rule 2: acquire the tail before trusting its slots.

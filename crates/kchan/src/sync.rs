@@ -136,7 +136,7 @@ pub mod mutation {
     }
 
     /// The ordering the ring actually uses for `rule`.
-    pub fn ord(rule: u8, strong: super::Ordering) -> super::Ordering {
+    pub(crate) fn ord(rule: u8, strong: super::Ordering) -> super::Ordering {
         if WEAKENED.load(StdOrdering::SeqCst) == rule {
             // This *is* the seeded ordering bug the kloom mutation tests
             // weaken the protocol with (cfg(kloom) builds only).

@@ -31,6 +31,11 @@ use crate::governor::{GovernorStats, RateGovernor, RatePolicy};
 use crate::module::{KlebModule, KlebTuning};
 use crate::sample::Sample;
 
+/// Core the monitored target runs on.
+const TARGET_CORE: CoreId = CoreId(0);
+/// Core the K-LEB controller runs on, apart from the target.
+const CONTROLLER_CORE: CoreId = CoreId(1);
+
 /// Errors from a monitoring session.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -107,9 +112,6 @@ pub struct Monitor {
     tuning: KlebTuning,
     track_children: bool,
     buffer_capacity: usize,
-    count_kernel: bool,
-    target_core: CoreId,
-    controller_core: CoreId,
     drain_interval: Option<Duration>,
     resume_base: Option<(u64, u64)>,
     governor: Option<RatePolicy>,
@@ -126,9 +128,6 @@ impl Monitor {
             tuning: KlebTuning::default(),
             track_children: true,
             buffer_capacity: 8192,
-            count_kernel: false,
-            target_core: CoreId(0),
-            controller_core: CoreId(1),
             drain_interval: None,
             resume_base: None,
             governor: None,
@@ -174,19 +173,6 @@ impl Monitor {
         self
     }
 
-    /// Also count ring-0 events attributed to the target.
-    pub fn count_kernel(mut self, on: bool) -> Self {
-        self.count_kernel = on;
-        self
-    }
-
-    /// Pins the target and controller to explicit cores.
-    pub fn cores(mut self, target: CoreId, controller: CoreId) -> Self {
-        self.target_core = target;
-        self.controller_core = controller;
-        self
-    }
-
     /// Overrides the controller's drain interval.
     pub fn drain_interval(mut self, interval: Duration) -> Self {
         self.drain_interval = Some(interval);
@@ -219,7 +205,7 @@ impl Monitor {
         name: &str,
         workload: Box<dyn Workload>,
     ) -> Result<MonitorOutcome, MonitorError> {
-        let target = machine.spawn_suspended(name, self.target_core, workload);
+        let target = machine.spawn_suspended(name, TARGET_CORE, workload);
         self.drive(machine, target, true, None)
     }
 
@@ -237,7 +223,7 @@ impl Monitor {
         workload: Box<dyn Workload>,
         sink: Box<dyn SampleSink>,
     ) -> Result<MonitorOutcome, MonitorError> {
-        let target = machine.spawn_suspended(name, self.target_core, workload);
+        let target = machine.spawn_suspended(name, TARGET_CORE, workload);
         self.drive(machine, target, true, Some(sink))
     }
 
@@ -276,7 +262,6 @@ impl Monitor {
         let mut cfg = MonitorConfig::new(target, &self.events, start_period);
         cfg.track_children = self.track_children;
         cfg.buffer_capacity = self.buffer_capacity;
-        cfg.count_kernel = self.count_kernel;
 
         let drain = self
             .drain_interval
@@ -295,11 +280,7 @@ impl Monitor {
             controller_workload = controller_workload
                 .with_governor(RateGovernor::new(policy, start_period.as_nanos()));
         }
-        let controller = machine.spawn(
-            "kleb-ctl",
-            self.controller_core,
-            Box::new(controller_workload),
-        );
+        let controller = machine.spawn("kleb-ctl", CONTROLLER_CORE, Box::new(controller_workload));
 
         machine.run_until_exit(controller)?;
 

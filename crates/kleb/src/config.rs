@@ -123,7 +123,7 @@ impl From<HwEvent> for HwEventCode {
 
 impl HwEventCode {
     /// Decodes back to a known event, if the code is one the PMU models.
-    pub fn decode(self) -> Option<HwEvent> {
+    pub(crate) fn decode(self) -> Option<HwEvent> {
         HwEvent::from_code(pmu::EventCode::new(self.event, self.umask))
     }
 }
@@ -143,7 +143,7 @@ impl MonitorConfig {
     }
 
     /// The sampling period as a [`Duration`].
-    pub fn period(&self) -> Duration {
+    pub(crate) fn period(&self) -> Duration {
         Duration::from_nanos(self.period_ns)
     }
 
@@ -222,12 +222,12 @@ impl ModuleStatus {
     /// Marshals for the ioctl out-payload. Like
     /// [`MonitorConfig::to_payload`], degrades to an empty (`-EINVAL`)
     /// payload instead of panicking.
-    pub fn to_payload(&self) -> Vec<u8> {
-        jsonlite::to_vec(self).unwrap_or_default()
+    pub(crate) fn to_payload(self) -> Vec<u8> {
+        jsonlite::to_vec(&self).unwrap_or_default()
     }
 
     /// Unmarshals from an ioctl out-payload.
-    pub fn from_payload(payload: &[u8]) -> Option<Self> {
+    pub(crate) fn from_payload(payload: &[u8]) -> Option<Self> {
         jsonlite::from_slice(payload).ok()
     }
 }

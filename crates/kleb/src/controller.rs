@@ -127,7 +127,7 @@ enum Phase {
 /// target; its `ControllerReport` stays with it until it is reaped with
 /// [`ksim::Machine::reap`] after it exits.
 #[derive(Debug)]
-pub struct Controller {
+pub(crate) struct Controller {
     device: DeviceId,
     cfg: MonitorConfig,
     target: Pid,
@@ -179,7 +179,7 @@ impl Controller {
     /// A controller that will configure `device` to monitor `target` per
     /// `cfg`, wake the (suspended) target once monitoring is live, and drain
     /// every `drain_interval`.
-    pub fn new(
+    pub(crate) fn new(
         device: DeviceId,
         cfg: MonitorConfig,
         target: Pid,
@@ -232,7 +232,7 @@ impl Controller {
     /// timestamp, and the first sample is flagged as following a gap. Used
     /// by supervisors re-entering a monitor after the previous incarnation
     /// crashed (see the `ResumeBase` doc for why ledgers stay closed).
-    pub fn resume_from(mut self, seq_base: u64, ts_base_ns: u64) -> Self {
+    pub(crate) fn resume_from(mut self, seq_base: u64, ts_base_ns: u64) -> Self {
         self.resume_base = Some(ResumeBase {
             seq: seq_base,
             ts_ns: ts_base_ns,

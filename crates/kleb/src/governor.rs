@@ -35,9 +35,6 @@ pub struct RatePolicy {
     pub base_period_ns: u64,
     /// Ceiling for the multiplicative increase.
     pub max_period_ns: u64,
-    /// Drops observed since the previous poll that count as pressure
-    /// (strictly-greater comparison; 0 means any drop is pressure).
-    pub drop_threshold: u64,
     /// Ring occupancy that counts as pressure, as a percentage of
     /// capacity (e.g. 75 ⇒ pressured at ≥ 3/4 full).
     pub depth_threshold_pct: u32,
@@ -54,7 +51,6 @@ impl RatePolicy {
         Self {
             base_period_ns,
             max_period_ns: base_period_ns.saturating_mul(16),
-            drop_threshold: 0,
             depth_threshold_pct: 75,
             hysteresis: 3,
         }
@@ -63,12 +59,6 @@ impl RatePolicy {
     /// Sets the period ceiling.
     pub fn max_period(mut self, max_period_ns: u64) -> Self {
         self.max_period_ns = max_period_ns;
-        self
-    }
-
-    /// Sets the drop-delta pressure threshold.
-    pub fn drop_threshold(mut self, drops: u64) -> Self {
-        self.drop_threshold = drops;
         self
     }
 
@@ -106,9 +96,10 @@ pub(crate) struct PressureSample {
 }
 
 impl PressureSample {
-    /// Whether this poll counts as pressured under `policy`.
+    /// Whether this poll counts as pressured under `policy`: any drop,
+    /// any pause, or a ring filled to the depth threshold.
     fn pressured(&self, policy: &RatePolicy) -> bool {
-        self.drop_delta > policy.drop_threshold
+        self.drop_delta > 0
             || self.pause_delta > 0
             || (self.capacity > 0
                 && self.buffered * 100 >= self.capacity * u64::from(policy.depth_threshold_pct))
@@ -187,12 +178,12 @@ impl RateGovernor {
     }
 
     /// Counters so far.
-    pub fn stats(&self) -> GovernorStats {
+    pub(crate) fn stats(&self) -> GovernorStats {
         self.stats
     }
 
     /// Records a module ack for a retune (retval matched the seq).
-    pub fn acked(&mut self, seq: u64) {
+    pub(crate) fn acked(&mut self, seq: u64) {
         // Sequences are issued in order and acks arrive synchronously on
         // the ioctl return path, so any matching seq below the cursor is
         // a valid ack.
@@ -203,7 +194,7 @@ impl RateGovernor {
 
     /// Steps the control law with one poll's observations. Pure: no
     /// clocks, no randomness — identical inputs yield identical decisions.
-    pub fn observe(&mut self, sample: PressureSample) -> RateDecision {
+    pub(crate) fn observe(&mut self, sample: PressureSample) -> RateDecision {
         if sample.pressured(&self.policy) {
             self.calm_streak = 0;
             let proposed = self.period_ns.saturating_mul(INCREASE_FACTOR);

@@ -13,7 +13,7 @@
 //!   tree, samples counters on a high-resolution kernel timer into a kernel
 //!   ring buffer, follows forks, pauses on buffer pressure (the starvation
 //!   safety mechanism) and takes a final partial sample at process exit.
-//! - [`Controller`]: the user-space controller process that configures the
+//! - `Controller`: the user-space controller process that configures the
 //!   module over `ioctl`, periodically drains samples with `read()`, and
 //!   logs them in user space.
 //!
@@ -41,7 +41,7 @@ mod sample;
 
 pub use api::{Monitor, MonitorError, MonitorOutcome};
 pub use config::{ModuleStatus, MonitorConfig};
-pub use controller::{Controller, RecoveryStats, SampleSink};
+pub use controller::{RecoveryStats, SampleSink};
 pub use governor::{GovernorStats, RatePolicy};
 pub use log::{parse_csv, render_csv, LogParseError};
 pub use module::KlebTuning;

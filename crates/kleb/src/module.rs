@@ -136,7 +136,7 @@ impl Default for KlebModule {
 
 impl KlebModule {
     /// A freshly loaded module with the default (paper-calibrated) tuning.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_tuning(KlebTuning::default())
     }
 

@@ -58,7 +58,7 @@ impl Rule {
     }
 
     /// Parses a rule name (as written in `// klint: allow(...)`).
-    pub fn parse(s: &str) -> Option<Rule> {
+    pub(crate) fn parse(s: &str) -> Option<Rule> {
         match s {
             "D1" => Some(Rule::D1),
             "D2" => Some(Rule::D2),

@@ -418,10 +418,6 @@ impl AtomicBool {
     pub fn store(&self, val: bool, ord: Ordering) {
         self.shadow.store(u64::from(val), ord, "bool")
     }
-
-    pub fn swap(&self, val: bool, ord: Ordering) -> bool {
-        self.shadow.rmw(ord, "bool", "swap", |_| u64::from(val)) != 0
-    }
 }
 
 impl Default for AtomicBool {

@@ -25,17 +25,17 @@ pub(crate) struct VClock {
 
 impl VClock {
     /// The zero clock (happens-before everything).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The component for `thread` (zero if never touched).
-    pub fn get(&self, thread: usize) -> u32 {
+    pub(crate) fn get(&self, thread: usize) -> u32 {
         self.times.get(thread).copied().unwrap_or(0)
     }
 
     /// Sets `thread`'s component (growing the vector as needed).
-    pub fn set(&mut self, thread: usize, time: u32) {
+    pub(crate) fn set(&mut self, thread: usize, time: u32) {
         if self.times.len() <= thread {
             self.times.resize(thread + 1, 0);
         }
@@ -50,7 +50,7 @@ impl VClock {
     }
 
     /// Component-wise max: afterwards `self ⊒ other`.
-    pub fn join(&mut self, other: &VClock) {
+    pub(crate) fn join(&mut self, other: &VClock) {
         if self.times.len() < other.times.len() {
             self.times.resize(other.times.len(), 0);
         }
@@ -63,7 +63,7 @@ impl VClock {
 
     /// Whether the event at `epoch` happens-before (or is) this clock's
     /// view — i.e. whoever owns this clock has synchronized with it.
-    pub fn observes(&self, epoch: Epoch) -> bool {
+    pub(crate) fn observes(&self, epoch: Epoch) -> bool {
         self.get(epoch.thread) >= epoch.time
     }
 }

@@ -184,9 +184,10 @@ impl WaitTimeoutResult {
     }
 }
 
-/// Shadow condvar. Notifications wake every waiter (`notify_one` is
-/// modeled as `notify_all`, a sound over-approximation for wakeup-loss
-/// checking); waits never time out, so lost wakeups become deadlocks.
+/// Shadow condvar. The only notification is `notify_all`, which wakes
+/// every waiter (a sound over-approximation of `notify_one` for
+/// wakeup-loss checking); waits never time out, so lost wakeups become
+/// deadlocks.
 #[derive(Debug, Default)]
 pub struct Condvar {
     id: std::sync::Mutex<Option<u32>>,
@@ -280,10 +281,5 @@ impl Condvar {
             }
             exec.schedule_next(st, tid);
         });
-    }
-
-    /// Conservatively modeled as [`notify_all`](Self::notify_all).
-    pub fn notify_one(&self) {
-        self.notify_all();
     }
 }

@@ -30,7 +30,7 @@ pub(crate) enum EventKind {
 
 /// A scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
+pub(crate) struct Event {
     /// When the event is due.
     pub time: Instant,
     /// Core the event belongs to.
@@ -69,12 +69,12 @@ pub(crate) struct EventQueue {
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Schedules an event.
-    pub fn push(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         self.seq += 1;
         self.heap.push(Reverse(Entry {
             time: event.time,
@@ -85,7 +85,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|Reverse(e)| Event {
             time: e.time,
             core: e.core,

@@ -73,54 +73,6 @@ pub enum FaultClass {
     ThreadPanic,
 }
 
-/// Number of [`FaultClass`] variants.
-pub(crate) const NUM_FAULT_CLASSES: usize = 9;
-
-impl FaultClass {
-    /// Stable per-class index: the class's position in [`FaultClass::ALL`].
-    pub const fn index(self) -> usize {
-        match self {
-            FaultClass::TimerDelay => 0,
-            FaultClass::TimerMiss => 1,
-            FaultClass::CtxswDrop => 2,
-            FaultClass::CtxswLate => 3,
-            FaultClass::MsrFreeze => 4,
-            FaultClass::RingSlot => 5,
-            FaultClass::DrainFail => 6,
-            FaultClass::DrainSlow => 7,
-            FaultClass::ThreadPanic => 8,
-        }
-    }
-
-    /// All classes, in index order.
-    pub const ALL: [FaultClass; NUM_FAULT_CLASSES] = [
-        FaultClass::TimerDelay,
-        FaultClass::TimerMiss,
-        FaultClass::CtxswDrop,
-        FaultClass::CtxswLate,
-        FaultClass::MsrFreeze,
-        FaultClass::RingSlot,
-        FaultClass::DrainFail,
-        FaultClass::DrainSlow,
-        FaultClass::ThreadPanic,
-    ];
-
-    /// Short stable name (report/table rows).
-    pub const fn name(self) -> &'static str {
-        match self {
-            FaultClass::TimerDelay => "timer_delay",
-            FaultClass::TimerMiss => "timer_miss",
-            FaultClass::CtxswDrop => "ctxsw_drop",
-            FaultClass::CtxswLate => "ctxsw_late",
-            FaultClass::MsrFreeze => "msr_freeze",
-            FaultClass::RingSlot => "ring_slot",
-            FaultClass::DrainFail => "drain_fail",
-            FaultClass::DrainSlow => "drain_slow",
-            FaultClass::ThreadPanic => "thread_panic",
-        }
-    }
-}
-
 /// What to inject and how hard. Threaded through
 /// [`crate::MachineConfig::faults`]; [`FaultPlan::NONE`] (the default)
 /// disables everything.
@@ -273,7 +225,7 @@ impl FaultPlan {
     }
 
     /// The per-opportunity probability for `class`.
-    pub fn rate(&self, class: FaultClass) -> f64 {
+    pub(crate) fn rate(&self, class: FaultClass) -> f64 {
         match class {
             FaultClass::TimerDelay => self.timer_delay_rate,
             FaultClass::TimerMiss => self.timer_miss_rate,
@@ -374,6 +326,19 @@ impl FaultState {
 mod tests {
     use super::*;
 
+    /// Every fault class, in declaration order.
+    const CLASSES: [FaultClass; 9] = [
+        FaultClass::TimerDelay,
+        FaultClass::TimerMiss,
+        FaultClass::CtxswDrop,
+        FaultClass::CtxswLate,
+        FaultClass::MsrFreeze,
+        FaultClass::RingSlot,
+        FaultClass::DrainFail,
+        FaultClass::DrainSlow,
+        FaultClass::ThreadPanic,
+    ];
+
     fn state(plan: FaultPlan, seed: u64) -> FaultState {
         FaultState::for_attempt(plan, seed, 0)
     }
@@ -382,7 +347,7 @@ mod tests {
     fn none_plan_is_inert_and_draws_nothing() {
         let mut st = state(FaultPlan::NONE, 7);
         let rng_before = format!("{:?}", st.rng);
-        for class in FaultClass::ALL {
+        for class in CLASSES {
             assert!(!st.fires(class));
         }
         assert_eq!(st.filter_rdmsr(0, 0x309, 42), 42);
@@ -441,7 +406,7 @@ mod tests {
     #[test]
     fn chaos_preset_scales_with_intensity() {
         let off = FaultPlan::chaos(0.0);
-        assert!(FaultClass::ALL.iter().all(|&c| off.rate(c) == 0.0));
+        assert!(CLASSES.iter().all(|&c| off.rate(c) == 0.0));
         assert_eq!(off.ring_shrink, 0.0);
         let p = FaultPlan::chaos(0.1);
         assert!((p.ring_pressure - 0.1).abs() < 1e-12);
@@ -532,16 +497,5 @@ mod tests {
         };
         assert_eq!(sparse, dense);
         assert!(sparse.iter().any(|&b| b) && sparse.iter().any(|&b| !b));
-    }
-
-    #[test]
-    fn class_indices_are_a_bijection() {
-        let mut seen = [false; NUM_FAULT_CLASSES];
-        for class in FaultClass::ALL {
-            assert!(!seen[class.index()], "duplicate index");
-            seen[class.index()] = true;
-            assert!(!class.name().is_empty());
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }

@@ -28,7 +28,7 @@ pub struct JitterModel {
 
 impl JitterModel {
     /// No jitter at all (for exactness tests).
-    pub const NONE: JitterModel = JitterModel {
+    pub(crate) const NONE: JitterModel = JitterModel {
         mean_ns: 0.0,
         sigma_ns: 0.0,
     };
@@ -44,7 +44,7 @@ impl JitterModel {
 
     /// Draws a slip using the caller's RNG (kept external so the whole
     /// machine shares one seeded stream).
-    pub fn sample(&self, rng: &mut impl rand::Rng) -> Duration {
+    pub(crate) fn sample(&self, rng: &mut impl rand::Rng) -> Duration {
         if self.mean_ns == 0.0 && self.sigma_ns == 0.0 {
             return Duration::ZERO;
         }
@@ -80,13 +80,13 @@ pub(crate) struct TimerTable {
 
 impl TimerTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers a timer owned by `owner`, delivered on `core`, initially
     /// disarmed.
-    pub fn create(&mut self, owner: DeviceId, core: CoreId) -> TimerId {
+    pub(crate) fn create(&mut self, owner: DeviceId, core: CoreId) -> TimerId {
         let id = TimerId(self.timers.len());
         self.timers.push(TimerEntry {
             owner,
@@ -126,7 +126,7 @@ impl TimerTable {
     }
 
     /// The entry for a timer.
-    pub fn get(&self, id: TimerId) -> &TimerEntry {
+    pub(crate) fn get(&self, id: TimerId) -> &TimerEntry {
         &self.timers[id.0]
     }
 }

@@ -417,7 +417,7 @@ impl Machine {
     }
 
     /// Latest clock across all cores.
-    pub fn now(&self) -> Instant {
+    pub(crate) fn now(&self) -> Instant {
         self.cores
             .iter()
             .map(|c| c.now)
@@ -455,11 +455,6 @@ impl Machine {
         }
         let program: Box<dyn Any> = slot.take()?;
         program.downcast().ok().map(|w| *w)
-    }
-
-    /// The PMU of a core (for inspection in tests and experiments).
-    pub fn pmu(&self, core: CoreId) -> &Pmu {
-        &self.cores[core.0].pmu
     }
 
     /// The cache hierarchy of a core.
@@ -1091,11 +1086,6 @@ impl KernelCtx<'_> {
     /// Current simulated time on this core.
     pub fn now(&self) -> Instant {
         self.machine.cores[self.core.0].now
-    }
-
-    /// The machine's clock frequency.
-    pub fn freq(&self) -> CpuFreq {
-        self.machine.cfg.freq
     }
 
     /// The cost model in effect.

@@ -50,11 +50,6 @@ impl Duration {
         Duration(ms * 1_000_000)
     }
 
-    /// Constructs from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Duration(s * 1_000_000_000)
-    }
-
     /// Nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -73,11 +68,6 @@ impl Duration {
     /// Seconds, as a float (for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: Duration) -> Duration {
-        Duration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -202,7 +192,6 @@ mod tests {
 
     #[test]
     fn duration_constructors_agree() {
-        assert_eq!(Duration::from_secs(1), Duration::from_millis(1000));
         assert_eq!(Duration::from_millis(1), Duration::from_micros(1000));
         assert_eq!(Duration::from_micros(1), Duration::from_nanos(1000));
     }
@@ -217,8 +206,11 @@ mod tests {
     fn cycles_round_trip() {
         let f = CpuFreq::I7_920;
         let d = f.cycles_to_duration(2_670_000_000);
-        assert_eq!(d, Duration::from_secs(1));
-        assert_eq!(f.duration_to_cycles(Duration::from_secs(1)), 2_670_000_000);
+        assert_eq!(d, Duration::from_millis(1000));
+        assert_eq!(
+            f.duration_to_cycles(Duration::from_millis(1000)),
+            2_670_000_000
+        );
     }
 
     #[test]
@@ -233,7 +225,7 @@ mod tests {
         assert_eq!(Duration::from_nanos(5).to_string(), "5ns");
         assert_eq!(Duration::from_micros(5).to_string(), "5.000us");
         assert_eq!(Duration::from_millis(5).to_string(), "5.000ms");
-        assert_eq!(Duration::from_secs(5).to_string(), "5.000s");
+        assert_eq!(Duration::from_millis(5000).to_string(), "5.000s");
     }
 
     #[test]

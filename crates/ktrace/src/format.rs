@@ -206,7 +206,7 @@ pub(crate) struct BlockHeader {
 
 impl BlockHeader {
     /// Encodes the 48-byte header (trailing header CRC included).
-    pub fn encode(&self) -> [u8; BLOCK_HEADER_LEN] {
+    pub(crate) fn encode(&self) -> [u8; BLOCK_HEADER_LEN] {
         let mut out = [0u8; BLOCK_HEADER_LEN];
         out[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
         out[4] = self.kind;
@@ -228,7 +228,7 @@ impl BlockHeader {
     /// `None` when `bytes` is too short, the magic is wrong, the kind is
     /// unknown, or the header CRC does not match — callers treat all four
     /// as "no block here" and resynchronise.
-    pub fn decode(bytes: &[u8]) -> Option<BlockHeader> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<BlockHeader> {
         let b = bytes.get(..BLOCK_HEADER_LEN)?;
         let u32_at = |o: usize| u32::from_le_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]]);
         let u64_at = |o: usize| {
@@ -319,7 +319,7 @@ impl StreamLedger {
     /// encode exactly as the pre-governor format did — old traces decode
     /// unchanged and zero-pressure governed traces stay byte-identical to
     /// ungoverned ones.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::ENCODED_LEN + Self::GOVERNOR_LEN);
         out.extend_from_slice(&self.samples_written.to_le_bytes());
         out.push(self.status.target_alive as u8);
@@ -364,7 +364,7 @@ impl StreamLedger {
     /// Decodes a ledger payload; `None` unless it is exactly
     /// [`Self::ENCODED_LEN`] bytes (no governor section) or
     /// [`Self::ENCODED_LEN`]` + `[`Self::GOVERNOR_LEN`] bytes.
-    pub fn decode(bytes: &[u8]) -> Option<StreamLedger> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<StreamLedger> {
         if bytes.len() != Self::ENCODED_LEN && bytes.len() != Self::ENCODED_LEN + Self::GOVERNOR_LEN
         {
             return None;

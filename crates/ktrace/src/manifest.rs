@@ -53,7 +53,7 @@ impl Manifest {
     pub(crate) const ENCODED_LEN: usize = 36;
 
     /// Encodes the manifest with its trailing CRC.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::ENCODED_LEN);
         out.extend_from_slice(MANIFEST_MAGIC);
         out.extend_from_slice(&self.file_len.to_le_bytes());
@@ -67,7 +67,7 @@ impl Manifest {
     /// Decodes a manifest; `None` unless `bytes` is exactly a valid,
     /// CRC-clean encoding. Truncated, padded or corrupted sidecars are
     /// all rejected — an invalid manifest promises nothing.
-    pub fn decode(bytes: &[u8]) -> Option<Manifest> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<Manifest> {
         if bytes.len() != Self::ENCODED_LEN || &bytes[..8] != MANIFEST_MAGIC {
             return None;
         }
@@ -123,7 +123,7 @@ impl Manifest {
     /// Loads the manifest governing `trace`, if a valid one exists.
     /// Absent, unreadable or corrupt sidecars all yield `None` — the
     /// caller falls back to scan recovery.
-    pub fn load(trace: &Path) -> Option<Manifest> {
+    pub(crate) fn load(trace: &Path) -> Option<Manifest> {
         let bytes = std::fs::read(Self::path_for(trace)).ok()?;
         Self::decode(&bytes)
     }

@@ -123,7 +123,7 @@ impl TraceReader {
     ///
     /// [`TraceError::Io`] if the file cannot be read,
     /// [`TraceError::BadHeader`] if it is not a ktrace segment.
-    pub fn open(path: &std::path::Path) -> Result<Self, TraceError> {
+    pub(crate) fn open(path: &std::path::Path) -> Result<Self, TraceError> {
         let mut bytes = std::fs::read(path)?;
         if let Some(manifest) = crate::manifest::Manifest::load(path) {
             if (manifest.file_len as usize) <= bytes.len() {

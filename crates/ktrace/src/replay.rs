@@ -64,11 +64,6 @@ impl TraceReplayer {
         Ok(Self { streams })
     }
 
-    /// Total samples recovered across all streams.
-    pub fn total_samples(&self) -> u64 {
-        self.streams.iter().map(|s| s.samples.len() as u64).sum()
-    }
-
     /// True when every stream recovered without damage of any kind.
     pub fn all_clean(&self) -> bool {
         self.streams.iter().all(|s| s.report.is_clean())

@@ -3,9 +3,9 @@
 //!
 //! The monitor's drain path must never block or die on storage trouble
 //! (the paper's whole point is not perturbing the target), so the tee
-//! *defers* I/O errors: after the first failed write it stops appending,
-//! counts what it dropped, and surfaces the error when the owner calls
-//! [`SharedWriter::finish`]. The writer lives behind a poison-tolerant
+//! *defers* I/O errors: after the first failed write it stops appending
+//! and surfaces the error when the owner calls
+//! [`SharedWriter::finish_durable`]. The writer lives behind a poison-tolerant
 //! mutex so the thread that ran the monitor can seal the stream with the
 //! final ledger after `run_with_sink` returns.
 
@@ -20,8 +20,6 @@ use kleb::Sample;
 struct SharedInner<W: Write> {
     writer: TraceWriter<W>,
     deferred: Option<TraceError>,
-    batches_dropped: u64,
-    samples_dropped: u64,
 }
 
 /// A clonable handle to a [`TraceWriter`] shared between the capture
@@ -41,8 +39,6 @@ impl<W: Write> SharedWriter<W> {
         Self(Arc::new(Mutex::new(SharedInner {
             writer,
             deferred: None,
-            batches_dropped: 0,
-            samples_dropped: 0,
         })))
     }
 
@@ -55,59 +51,29 @@ impl<W: Write> SharedWriter<W> {
 
     /// Appends a batch, deferring (not propagating) any I/O error.
     /// After the first error the writer is wedged and further batches
-    /// are counted dropped.
+    /// are discarded.
     pub fn append_batch(&self, samples: &[Sample]) {
         let mut inner = self.lock();
         if inner.deferred.is_some() {
-            inner.batches_dropped += 1;
-            inner.samples_dropped += samples.len() as u64;
             return;
         }
         if let Err(e) = inner.writer.append_batch(samples) {
             inner.deferred = Some(e);
-            inner.batches_dropped += 1;
-            inner.samples_dropped += samples.len() as u64;
         }
-    }
-
-    /// Samples appended so far (flushed or pending).
-    pub fn samples_written(&self) -> u64 {
-        self.lock().writer.samples_written()
-    }
-
-    /// `(batches, samples)` dropped after a deferred error.
-    pub fn dropped(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.batches_dropped, inner.samples_dropped)
-    }
-
-    /// Seals the stream with `ledger`, surfacing any deferred error
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// The first deferred append error if one occurred, otherwise
-    /// whatever [`TraceWriter::finish`] returns.
-    pub fn finish(&self, ledger: &StreamLedger) -> Result<(), TraceError> {
-        let mut inner = self.lock();
-        if let Some(e) = inner.deferred.take() {
-            return Err(e);
-        }
-        inner.writer.finish(ledger)
     }
 }
 
 impl SharedWriter<std::fs::File> {
-    /// Crash-consistent seal: like [`SharedWriter::finish`] but via
-    /// [`TraceWriter::seal_durable`], so the segment is `fsync`ed and
-    /// its sidecar manifest committed by atomic rename. If the seal
+    /// Crash-consistent seal via `TraceWriter::seal_durable`, surfacing
+    /// any deferred append error first: the segment is `fsync`ed and its
+    /// sidecar manifest committed by atomic rename. If the seal
     /// itself fails the manifest is never written — the tail stays
     /// ungoverned and readers fall back to scan recovery.
     ///
     /// # Errors
     ///
     /// The first deferred append error if one occurred, otherwise
-    /// whatever [`TraceWriter::seal_durable`] returns.
+    /// whatever `TraceWriter::seal_durable` returns.
     pub fn finish_durable(&self, ledger: &StreamLedger) -> Result<(), TraceError> {
         let mut inner = self.lock();
         if let Some(e) = inner.deferred.take() {
@@ -172,13 +138,7 @@ mod tests {
             let batch: Vec<Sample> = (chunk * 4..chunk * 4 + 4).map(sample).collect();
             shared.append_batch(&batch); // must not panic or propagate
         }
-        let (batches, samples) = shared.dropped();
-        assert!(batches >= 1, "post-error batches counted");
-        assert!(samples >= 4);
-        assert!(matches!(
-            shared.finish(&StreamLedger::default()),
-            Err(TraceError::Io(_))
-        ));
+        assert!(matches!(shared.lock().deferred, Some(TraceError::Io(_))));
     }
 
     #[test]
@@ -193,6 +153,8 @@ mod tests {
             shared.append_batch(&batch);
         }
         shared
+            .lock()
+            .writer
             .finish(&StreamLedger {
                 status: kleb::ModuleStatus {
                     samples_taken: 35,

@@ -50,7 +50,7 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 /// The signed difference `b - a` over `u64`, as wrapping `i64` — the
 /// delta the columns store. Exact for all real counter streams (deltas
 /// beyond ±2^63 wrap, and [`apply_delta`] wraps identically back).
-pub fn delta(a: u64, b: u64) -> i64 {
+pub(crate) fn delta(a: u64, b: u64) -> i64 {
     b.wrapping_sub(a) as i64
 }
 

@@ -67,11 +67,6 @@ impl<W: Write> TraceWriter<W> {
         self
     }
 
-    /// Samples appended so far (flushed or pending).
-    pub fn samples_written(&self) -> u64 {
-        self.samples_written
-    }
-
     /// Appends one drain batch. Empty batches are ignored (the module
     /// never surfaces them). Flushes the in-progress block if the batch
     /// pushed it to the target size.
@@ -126,7 +121,7 @@ impl<W: Write> TraceWriter<W> {
     /// # Errors
     ///
     /// [`TraceError::Io`] on a failed write or flush.
-    pub fn sync(&mut self) -> Result<(), TraceError> {
+    pub(crate) fn sync(&mut self) -> Result<(), TraceError> {
         self.flush_block()?;
         self.sink.flush()?;
         Ok(())
@@ -189,7 +184,7 @@ impl TraceWriter<std::fs::File> {
         Ok(writer)
     }
 
-    /// [`TraceWriter::sync`] plus `fsync` to the device — the strongest
+    /// `TraceWriter::sync` plus `fsync` to the device — the strongest
     /// durability point the platform offers.
     ///
     /// # Errors
@@ -214,7 +209,7 @@ impl TraceWriter<std::fs::File> {
     ///
     /// [`TraceError::Io`] on a failed write, sync or manifest rename;
     /// [`TraceError::Finished`] if already finished.
-    pub fn seal_durable(&mut self, ledger: &StreamLedger) -> Result<(), TraceError> {
+    pub(crate) fn seal_durable(&mut self, ledger: &StreamLedger) -> Result<(), TraceError> {
         self.finish(ledger)?;
         self.sink.sync_data()?;
         if let Some(path) = self.path.clone() {
@@ -263,7 +258,7 @@ mod tests {
         }
         // 6 < 10 pending after batches 1, 3, 5; 12 ≥ 10 flushes after 2 and 4.
         assert_eq!(w.blocks_written, 2);
-        assert_eq!(w.samples_written(), 30);
+        assert_eq!(w.samples_written, 30);
         w.finish(&StreamLedger::default()).unwrap();
         assert_eq!(w.blocks_written, 4, "tail block + ledger");
     }
@@ -326,7 +321,7 @@ mod tests {
     fn empty_batches_leave_no_trace() {
         let mut w = TraceWriter::new(Vec::new(), &meta()).unwrap();
         w.append_batch(&[]).unwrap();
-        assert_eq!(w.samples_written(), 0);
+        assert_eq!(w.samples_written, 0);
         w.finish(&StreamLedger::default()).unwrap();
         assert_eq!(w.blocks_written, 1, "just the ledger");
     }

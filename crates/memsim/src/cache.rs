@@ -126,11 +126,6 @@ impl Cache {
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -157,7 +152,7 @@ impl Cache {
     /// Looks up `addr`; returns `true` on hit. On hit the line's LRU stamp is
     /// refreshed and, if `write`, the line is marked dirty. **Does not fill**
     /// on miss — the hierarchy decides fills so it can model inclusion.
-    pub fn probe(&mut self, addr: u64, write: bool) -> bool {
+    pub(crate) fn probe(&mut self, addr: u64, write: bool) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
         let (tag, set) = self.split(addr);

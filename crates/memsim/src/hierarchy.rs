@@ -13,7 +13,7 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// True for [`AccessKind::Write`].
-    pub const fn is_write(self) -> bool {
+    pub(crate) const fn is_write(self) -> bool {
         matches!(self, AccessKind::Write)
     }
 }
@@ -250,13 +250,6 @@ impl Hierarchy {
         self.llc.flush_line(addr);
     }
 
-    /// Flushes all levels entirely.
-    pub fn flush_all(&mut self) {
-        self.l1d.flush_all();
-        self.l2.flush_all();
-        self.llc.flush_all();
-    }
-
     /// True if the line containing `addr` is resident anywhere.
     pub fn is_cached(&self, addr: u64) -> bool {
         self.l1d.contains(addr) || self.l2.contains(addr) || self.llc.contains(addr)
@@ -271,6 +264,15 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn i7_920_capacities() {
+        let capacity = |c: CacheConfig| c.line_size as u64 * c.sets as u64 * c.ways as u64;
+        let cfg = HierarchyConfig::i7_920();
+        assert_eq!(capacity(cfg.l1d), 32 * 1024);
+        assert_eq!(capacity(cfg.l2), 256 * 1024);
+        assert_eq!(capacity(cfg.llc), 8 * 1024 * 1024);
+    }
 
     #[test]
     fn cold_access_goes_to_memory() {

@@ -46,11 +46,6 @@ impl Counter {
         overflows
     }
 
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-
     /// Preloads the counter so it overflows after `period` more occurrences.
     ///
     /// # Panics
@@ -112,13 +107,5 @@ mod tests {
     #[should_panic]
     fn zero_period_panics() {
         Counter::new().preload_for_period(0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut c = Counter::new();
-        let _ = c.add(42);
-        c.reset();
-        assert_eq!(c.value(), 0);
     }
 }

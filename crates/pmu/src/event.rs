@@ -151,7 +151,7 @@ impl HwEvent {
 
     /// Index of this event into an [`EventCounts`] array.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
@@ -225,25 +225,6 @@ impl EventCounts {
         for i in 0..N_EVENTS {
             self.counts[i] += other.counts[i];
         }
-    }
-
-    /// Subtracts `other` from `self`, saturating at zero.
-    pub fn saturating_sub(&self, other: &EventCounts) -> EventCounts {
-        let mut out = EventCounts::new();
-        for i in 0..N_EVENTS {
-            out.counts[i] = self.counts[i].saturating_sub(other.counts[i]);
-        }
-        out
-    }
-
-    /// True if every slot is zero.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-
-    /// Total occurrences across all event kinds.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// Iterates over `(event, count)` pairs with non-zero counts.
@@ -335,21 +316,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(HwEvent::Load), 15);
         assert_eq!(a.get(HwEvent::Store), 7);
-        assert_eq!(a.total(), 22);
-    }
-
-    #[test]
-    fn counts_saturating_sub() {
-        let a = EventCounts::new().with(HwEvent::Load, 3);
-        let b = EventCounts::new()
-            .with(HwEvent::Load, 5)
-            .with(HwEvent::Store, 1);
-        let d = a.saturating_sub(&b);
-        assert_eq!(d.get(HwEvent::Load), 0);
-        assert_eq!(d.get(HwEvent::Store), 0);
-        let d2 = b.saturating_sub(&a);
-        assert_eq!(d2.get(HwEvent::Load), 2);
-        assert_eq!(d2.get(HwEvent::Store), 1);
     }
 
     #[test]
@@ -365,11 +331,5 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(c[HwEvent::Load], 5);
-    }
-
-    #[test]
-    fn empty_batch_reports_empty() {
-        assert!(EventCounts::new().is_empty());
-        assert!(!EventCounts::new().with(HwEvent::FpOps, 1).is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! | 8-15  | UMASK | unit mask |
 //! | 16    | USR   | count in ring 3 |
 //! | 17    | OS    | count in ring 0 |
-//! | 18    | E     | edge detect (modelled but unused) |
+//! | 18    | E     | edge detect (not modelled) |
 //! | 20    | INT   | raise PMI on overflow |
 //! | 22    | EN    | counter enable |
 //! | 23    | INV   | invert counter-mask comparison |
@@ -16,7 +16,6 @@ use crate::event::{EventCode, HwEvent, Privilege};
 
 const USR_BIT: u64 = 1 << 16;
 const OS_BIT: u64 = 1 << 17;
-const EDGE_BIT: u64 = 1 << 18;
 const INT_BIT: u64 = 1 << 20;
 const EN_BIT: u64 = 1 << 22;
 
@@ -41,7 +40,7 @@ pub struct EventSel(u64);
 
 impl EventSel {
     /// An all-zero (disabled) event select.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(0)
     }
 
@@ -64,7 +63,7 @@ impl EventSel {
     }
 
     /// The `(event, umask)` encoding currently programmed.
-    pub const fn code(self) -> EventCode {
+    pub(crate) const fn code(self) -> EventCode {
         EventCode {
             event: (self.0 & 0xFF) as u8,
             umask: ((self.0 >> 8) & 0xFF) as u8,
@@ -93,11 +92,6 @@ impl EventSel {
     /// Sets the OS (ring-0) counting bit.
     pub fn os(self, on: bool) -> Self {
         self.set(OS_BIT, on)
-    }
-
-    /// Sets the edge-detect bit.
-    pub fn edge(self, on: bool) -> Self {
-        self.set(EDGE_BIT, on)
     }
 
     /// Sets the INT bit (PMI on overflow), used by sampling tools.

@@ -103,12 +103,12 @@ pub(crate) struct ProtocolChecker {
 
 impl ProtocolChecker {
     /// A fresh checker with no trace observed.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Every violation recorded so far, in first-occurrence order.
-    pub fn violations(&self) -> &[ProtocolViolation] {
+    pub(crate) fn violations(&self) -> &[ProtocolViolation] {
         &self.violations
     }
 

@@ -306,14 +306,6 @@ impl Pmu {
         std::mem::take(&mut self.pmi_pending)
     }
 
-    /// Ground truth: all events observed at `privilege` since power-on.
-    pub fn ledger(&self, privilege: Privilege) -> &EventCounts {
-        match privilege {
-            Privilege::User => &self.ledger_user,
-            Privilege::Kernel => &self.ledger_kernel,
-        }
-    }
-
     /// Ground truth across both privilege levels.
     pub fn ledger_total(&self) -> EventCounts {
         let mut total = self.ledger_user;
@@ -471,8 +463,8 @@ mod tests {
         let mut pmu = Pmu::new(); // nothing programmed
         pmu.observe(&batch(HwEvent::LlcMiss, 3), Privilege::User);
         pmu.observe(&batch(HwEvent::LlcMiss, 4), Privilege::Kernel);
-        assert_eq!(pmu.ledger(Privilege::User).get(HwEvent::LlcMiss), 3);
-        assert_eq!(pmu.ledger(Privilege::Kernel).get(HwEvent::LlcMiss), 4);
+        assert_eq!(pmu.ledger_user.get(HwEvent::LlcMiss), 3);
+        assert_eq!(pmu.ledger_kernel.get(HwEvent::LlcMiss), 4);
         assert_eq!(pmu.ledger_total().get(HwEvent::LlcMiss), 7);
     }
 

@@ -29,7 +29,6 @@ const BLOCK_CYCLES: u64 = 50_000;
 pub struct Dgemm {
     n: u64,
     blocks_remaining: u64,
-    total_blocks: u64,
     rng: StdRng,
     noise: f64,
     /// Per-run systematic speed factor (drawn once per instance; models
@@ -54,27 +53,11 @@ impl Dgemm {
         Self {
             n,
             blocks_remaining: total_blocks,
-            total_blocks,
             rng,
             noise,
             run_factor,
             pattern_offset: 0,
         }
-    }
-
-    /// The paper-scale problem: ≈ 90 ms of simulated runtime.
-    pub fn paper(seed: u64) -> Self {
-        Self::new(1600, seed, 0.004)
-    }
-
-    /// Total floating-point operations: `2 n^3`.
-    pub fn flops(&self) -> u64 {
-        2 * self.n * self.n * self.n
-    }
-
-    /// Fraction of work completed.
-    pub fn progress(&self) -> f64 {
-        1.0 - self.blocks_remaining as f64 / self.total_blocks as f64
     }
 }
 
@@ -137,13 +120,14 @@ mod tests {
 
     #[test]
     fn much_faster_than_naive_matmul() {
-        let naive_cycles = crate::Matmul::new(256, 1, 0.0).base_cycles();
+        // Naive matmul's baseline cycles: 2 n^3 flops at its flop rate.
+        let naive_cycles = 2.0 * 256f64.powi(3) / crate::matmul::FLOPS_PER_CYCLE;
         let mut m = Machine::new(MachineConfig::test_tiny(1));
         let pid = m.spawn("dgemm", CoreId(0), Box::new(Dgemm::new(256, 1, 0.0)));
         let t = m.run_until_exit(pid).unwrap().wall_time();
         let dgemm_cycles = t.as_secs_f64() * 2.67e9;
         assert!(
-            naive_cycles as f64 / dgemm_cycles > 15.0,
+            naive_cycles / dgemm_cycles > 15.0,
             "blocked dgemm should be >15x faster"
         );
     }
@@ -151,7 +135,7 @@ mod tests {
     #[test]
     fn flop_events_match_formula() {
         let w = Dgemm::new(128, 1, 0.0);
-        let expected = w.flops();
+        let expected = 2 * 128u64.pow(3);
         let mut got = 0u64;
         let mut w2 = w;
         while let Some(WorkItem::Block(b)) = w2.next(&ItemResult::None) {
@@ -160,13 +144,5 @@ mod tests {
         // Block quantization rounds up by at most one block of flops.
         let per_block = (BLOCK_CYCLES as f64 * FLOPS_PER_CYCLE) as u64;
         assert!(got >= expected && got < expected + per_block);
-    }
-
-    #[test]
-    fn progress_runs_zero_to_one() {
-        let mut w = Dgemm::new(64, 1, 0.0);
-        assert_eq!(w.progress(), 0.0);
-        while w.next(&ItemResult::None).is_some() {}
-        assert!((w.progress() - 1.0).abs() < 1e-9);
     }
 }

@@ -17,7 +17,7 @@
 
 use pmu::{EventCounts, HwEvent};
 
-use ksim::{Duration, ItemResult, Syscall, WorkBlock, WorkItem, Workload};
+use ksim::{ItemResult, Syscall, WorkBlock, WorkItem, Workload};
 use memsim::{AccessKind, AccessPattern};
 
 use crate::HEAP_BASE;
@@ -105,19 +105,9 @@ impl Linpack {
         w
     }
 
-    /// The paper's configuration: `n = 5000`.
-    pub fn paper(seed: u64) -> Self {
-        Self::new(5000, seed)
-    }
-
     /// Floating-point operations the solve performs: `2/3 n^3 + 2 n^2`.
     pub fn flops(&self) -> u64 {
         2 * self.n * self.n * self.n / 3 + 2 * self.n * self.n
-    }
-
-    /// GFLOPS for a measured solve duration.
-    pub fn gflops(&self, solve_time: Duration) -> f64 {
-        self.flops() as f64 / solve_time.as_secs_f64() / 1e9
     }
 
     fn solve_blocks(n: u64) -> u64 {

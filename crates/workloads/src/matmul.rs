@@ -17,7 +17,7 @@ use memsim::{AccessKind, AccessPattern};
 use crate::HEAP_BASE;
 
 /// Scalar multiply-add rate of the naive loop.
-const FLOPS_PER_CYCLE: f64 = 0.8;
+pub(crate) const FLOPS_PER_CYCLE: f64 = 0.8;
 
 /// Rows of `C` computed per emitted block (a chunk of the `i` loop's work).
 const J_CHUNK: u64 = 24;
@@ -55,27 +55,6 @@ impl Matmul {
             noise,
             run_factor,
         }
-    }
-
-    /// The paper-scale problem: ≈ 2 s of simulated runtime.
-    pub fn paper(seed: u64) -> Self {
-        Self::new(1280, seed, 0.004)
-    }
-
-    /// Total floating-point operations: `2 n^3`.
-    pub fn flops(&self) -> u64 {
-        2 * self.n * self.n * self.n
-    }
-
-    /// Expected baseline cycles (before noise and memory stalls).
-    pub fn base_cycles(&self) -> u64 {
-        (self.flops() as f64 / FLOPS_PER_CYCLE) as u64
-    }
-
-    /// Outer-loop progress in `0.0..=1.0` — instrumented variants use this
-    /// to place strategic read points.
-    pub fn progress(&self) -> f64 {
-        (self.i * self.n + self.j) as f64 / (self.n * self.n) as f64
     }
 }
 
@@ -185,23 +164,5 @@ mod tests {
         let (t2, c2) = run(2);
         assert_ne!(t1, t2, "different seeds, different runtimes");
         assert_eq!(c1, c2, "event counts are deterministic regardless of noise");
-    }
-
-    #[test]
-    fn paper_scale_runtime_near_two_seconds() {
-        let w = Matmul::paper(0);
-        let secs = w.base_cycles() as f64 / 2.67e9;
-        assert!(secs > 1.5 && secs < 2.5, "base runtime {secs:.2}s");
-    }
-
-    #[test]
-    fn progress_monotonic() {
-        let mut w = Matmul::new(48, 1, 0.0);
-        let mut last = -1.0;
-        while w.next(&ItemResult::None).is_some() {
-            let p = w.progress();
-            assert!(p >= last);
-            last = p;
-        }
     }
 }

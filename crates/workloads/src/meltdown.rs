@@ -52,7 +52,7 @@ pub struct SecretPrinter {
 
 impl SecretPrinter {
     /// A printer that outputs the secret `repeats` times.
-    pub fn new(repeats: u64, seed: u64) -> Self {
+    pub(crate) fn new(repeats: u64, seed: u64) -> Self {
         Self {
             remaining: repeats * SECRET.len() as u64,
             seed,
