@@ -14,6 +14,6 @@ pub use metrics::{
     gflops, mpki, overhead_proxy, performance_loss_percent, sample_coverage, IntensityClass,
 };
 pub use phases::{detect_phases, Phase, PhaseKind};
-pub use stats::{five_number, mean, percentile, robust_z, stddev, FiveNumber};
+pub use stats::{five_number, mean, robust_z, stddev, FiveNumber};
 pub use table::TextTable;
 pub use timeseries::{downsample, sparkline};

@@ -25,7 +25,7 @@ pub fn stddev(values: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if `values` is empty or `p` is outside `0..=100`.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of an empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     let mut sorted: Vec<f64> = values.to_vec();
